@@ -16,6 +16,7 @@ from .dynamics import (
     AtomPairParams,
     DickeSingularityError,
     IntegrationError,
+    InvariantError,
     TimeGrid,
     evolve_analytic,
     evolve_block_ode,
@@ -35,7 +36,7 @@ from .entanglement import (
     relation_negativity,
     wootters_generic,
 )
-from .scenarios import Scenario, TrajectoryRecord, run_scenario, sweep
+from .scenarios import Scenario, Trajectory, run_scenario, sweep
 from .statespace import (
     BellState4,
     BlockState,
@@ -59,9 +60,10 @@ __all__ = [
     "Geometry",
     "GeometryError",
     "IntegrationError",
+    "InvariantError",
     "Scenario",
     "TimeGrid",
-    "TrajectoryRecord",
+    "Trajectory",
     "block_report",
     "closed_form_C2_double",
     "closed_form_C2_single",

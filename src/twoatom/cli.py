@@ -10,13 +10,13 @@ import sys
 from dataclasses import replace
 
 from .couplings import Geometry, GeometryError, rates_from_geometry
-from .dynamics import DickeSingularityError, IntegrationError, TimeGrid
+from .dynamics import DickeSingularityError, InvariantError, TimeGrid
 from .scenarios import (
     SWEEP_AXES,
     Scenario,
     figure_rows,
+    finite_float,
     load_scenario,
-    records_to_rows,
     run_scenario,
     scenario_columns,
     sweep,
@@ -37,16 +37,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("couplings", help="collective rates from the geometry")
-    p.add_argument("--x", type=float, required=True, help="separation k0*r12")
-    p.add_argument("--mu-dot-r", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--x", type=finite_float, required=True, help="separation k0*r12")
+    p.add_argument("--mu-dot-r", type=finite_float, default=0.0)
+    p.add_argument("--gamma", type=finite_float, default=1.0)
 
     p = sub.add_parser("run", help="run a scenario and write a trajectory CSV")
     p.add_argument("--scenario", help="scenario file (key = value format)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--x", type=float)
-    p.add_argument("--mu-dot-r", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--x", type=finite_float)
+    p.add_argument("--mu-dot-r", type=finite_float)
+    p.add_argument("--delta", type=finite_float)
     p.add_argument("--points", type=int)
     p.add_argument(
         "--initial",
@@ -56,14 +56,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="summary table over one parameter axis")
     p.add_argument("--scenario", help="base scenario file")
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p.add_argument("--values", required=True, help="comma-separated axis values")
+    p.add_argument(
+        "--values",
+        required=True,
+        help="comma-separated axis values; write --values=-1,0 when the first is negative",
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--points", type=int)
 
     p = sub.add_parser("figure", help="emit the data for one of the canned figures")
     p.add_argument("name", choices=["fig2", "fig3", "fig4", "fig5"])
     p.add_argument("--out", required=True)
-    p.add_argument("--points", type=int)
+    p.add_argument("--points", type=int, help="grid points over the figure's time span")
 
     return parser
 
@@ -94,16 +98,16 @@ def _cmd_couplings(args) -> int:
 
 def _cmd_run(args) -> int:
     s = _scenario_from_args(args)
-    records = run_scenario(s)
+    traj = run_scenario(s)
     columns = scenario_columns(s)
-    write_csv(args.out, columns, records_to_rows(records, columns))
-    print(f"wrote {len(records)} records to {args.out}")
+    write_csv(args.out, columns, traj.rows(columns))
+    print(f"wrote {len(traj.t)} records to {args.out}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     s = _scenario_from_args(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = [finite_float(v, "sweep value") for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("no sweep values given")
     rows = sweep(s, args.axis, values)
@@ -119,7 +123,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    columns, rows = figure_rows(args.name)
+    columns, rows = figure_rows(args.name, args.points)
     write_csv(args.out, columns, rows)
     print(f"wrote {len(rows)} rows for {args.name} to {args.out}")
     return EXIT_OK
@@ -138,7 +142,7 @@ def main(argv=None) -> int:
     except (GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DickeSingularityError, IntegrationError) as exc:
+    except (DickeSingularityError, InvariantError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

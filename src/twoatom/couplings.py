@@ -26,6 +26,10 @@ class Geometry:
     mu_dot_r: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.mu_dot_r)):
+            raise GeometryError(
+                f"x and mu_dot_r must be finite, got x={self.x} and mu_dot_r={self.mu_dot_r}"
+            )
         if not self.x > 0.0:
             raise GeometryError(f"separation k0*r12 must be > 0, got {self.x}")
         if abs(self.mu_dot_r) > 1.0:

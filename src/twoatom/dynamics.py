@@ -1,13 +1,21 @@
 """Time evolution of the dipole-coupled atom pair.
 
-Three routes are provided and cross-validated against each other:
+In the collective basis the equations of motion are linear with constant
+coefficients, dy/dt = A y, so one exact propagator serves every scenario:
 
-* ``evolve_analytic`` -- exponential solutions in the collective basis,
-  valid for identical atoms (zero detuning) away from the small-sample point;
-* ``evolve_block_ode`` -- adaptive RK integration of the six-component
-  collective-basis equations, valid for any detuning;
+* ``evolve_block_ode`` -- steps y(t + dt) = expm(A dt) y(t) on the uniform
+  output grid; valid for any detuning, including the Dicke points
+  gamma12 = +/-gamma where the closed forms are singular.
+
+Two independent routes are kept as oracles for it:
+
+* ``evolve_analytic`` -- exponential closed forms for identical atoms (zero
+  detuning) away from the Dicke points;
 * ``evolve_full_master`` -- the full 4x4 Lindblad generator in the product
-  basis, used as an independent oracle for the other two.
+  basis, integrated by RK45.
+
+Every route prepares the initial state at t = 0; a time grid only selects
+the output times (see ``TimeGrid``).
 """
 from __future__ import annotations
 
@@ -22,14 +30,27 @@ from .statespace import CollectiveState
 EPS_DICKE = 1e-8
 RTOL = 1e-10
 ATOL = 1e-12
+# Largest output grid: a trajectory and its CSV rows take about 0.5 kB per
+# point in memory.
+MAX_POINTS = 100_000
 
 
 class DickeSingularityError(ArithmeticError):
-    """Analytic solution is singular at gamma12 == gamma with excited population."""
+    """Closed form is singular at gamma12 == +/-gamma with excited population."""
 
 
 class IntegrationError(RuntimeError):
     """The adaptive integrator failed to meet its tolerance."""
+
+
+class InvariantError(ArithmeticError):
+    """A computed trajectory is not a physical two-atom state at some time."""
+
+
+def _require_finite(owner: str, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner}: {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +64,14 @@ class AtomPairParams:
     omega0: float = 0.0  # mean frequency; 0 = rotating frame
 
     def __post_init__(self):
+        _require_finite(
+            "AtomPairParams",
+            gamma=self.gamma,
+            gamma12=self.gamma12,
+            omega12=self.omega12,
+            delta=self.delta,
+            omega0=self.omega0,
+        )
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if abs(self.gamma12) > self.gamma * (1.0 + 1e-12):
@@ -51,19 +80,28 @@ class AtomPairParams:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform output times in units of 1/gamma."""
+    """Uniform output times in units of 1/gamma.
+
+    The initial state is always prepared at t = 0.  The grid only selects
+    the output times t_start .. t_end: with t_start > 0 the trajectory is
+    evolved through [0, t_start] and its first row is the state at t_start.
+    At most MAX_POINTS points.
+    """
 
     t_start: float
     t_end: float
     n_points: int
 
     def __post_init__(self):
+        _require_finite("TimeGrid", t_start=self.t_start, t_end=self.t_end)
         if self.t_start < 0.0:
             raise ValueError(f"t_start must be >= 0, got {self.t_start}")
         if not self.t_end > self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_POINTS:
+            raise ValueError(
+                f"n_points must be between 2 and {MAX_POINTS}, got {self.n_points}"
+            )
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_points)
@@ -72,17 +110,18 @@ class TimeGrid:
 def evolve_analytic(c0: CollectiveState, p: AtomPairParams, t: float) -> CollectiveState:
     """Closed-form collective-basis solution for identical atoms.
 
-    Refuses the small-sample point gamma12 == gamma whenever the doubly
+    Refuses the Dicke points gamma12 == +/-gamma whenever the doubly
     excited state is populated: the feeding terms for the symmetric and
     antisymmetric populations contain the prefactors
-    (gamma +/- gamma12)/(gamma -/+ gamma12).
+    (gamma +/- gamma12)/(gamma -/+ gamma12).  ``evolve_block_ode`` has no
+    such restriction.
     """
     if p.delta != 0.0:
         raise ValueError("analytic solution requires delta == 0")
     g, g12, o12, w0 = p.gamma, p.gamma12, p.omega12, p.omega0
-    if c0.ree > 0.0 and abs(g - g12) < EPS_DICKE:
+    if c0.ree > 0.0 and min(abs(g - g12), abs(g + g12)) < EPS_DICKE:
         raise DickeSingularityError(
-            "gamma12 == gamma with excited population: use evolve_block_ode"
+            "gamma12 == +/-gamma with excited population: use evolve_block_ode"
         )
 
     e_fast = math.exp(-(g + g12) * t)  # superradiant
@@ -101,56 +140,116 @@ def evolve_analytic(c0: CollectiveState, p: AtomPairParams, t: float) -> Collect
     return CollectiveState(rgg=rgg, ree=ree, rss=rss, raa=raa, reg=reg, ras=ras)
 
 
-def _collective_rhs(p: AtomPairParams):
+def generator(p: AtomPairParams) -> np.ndarray:
+    """The constant matrix A of the collective-basis equations dy/dt = A y.
+
+    y = (ree, rss, raa, Re ras, Im ras, Re reg, Im reg); rgg = 1 - ree - rss - raa.
+    """
     g, g12, o12, d, w0 = p.gamma, p.gamma12, p.omega12, p.delta, p.omega0
-
-    def rhs(t, y):
-        ree, rss, raa, as_r, as_i, eg_r, eg_i = y
-        return [
-            -2.0 * g * ree,
-            -(g + g12) * (rss - ree) - 2.0 * d * as_i,
-            -(g - g12) * (raa - ree) + 2.0 * d * as_i,
-            -g * as_r + 2.0 * o12 * as_i,
-            -g * as_i - 2.0 * o12 * as_r + d * (rss - raa),
-            -g * eg_r + 2.0 * w0 * eg_i,
-            -g * eg_i - 2.0 * w0 * eg_r,
+    up, down = g + g12, g - g12  # superradiant and subradiant rates
+    return np.array(
+        [
+            [-2.0 * g, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [up, -up, 0.0, 0.0, -2.0 * d, 0.0, 0.0],
+            [down, 0.0, -down, 0.0, 2.0 * d, 0.0, 0.0],
+            [0.0, 0.0, 0.0, -g, 2.0 * o12, 0.0, 0.0],
+            [0.0, d, -d, -2.0 * o12, -g, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, -g, 2.0 * w0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * w0, -g],
         ]
-
-    return rhs
-
-
-def _pack(c: CollectiveState) -> list[float]:
-    return [c.ree, c.rss, c.raa, c.ras.real, c.ras.imag, c.reg.real, c.reg.imag]
+    )
 
 
-def _unpack(y: np.ndarray) -> CollectiveState:
-    ree, rss, raa, as_r, as_i, eg_r, eg_i = (float(v) for v in y)
+# Numerator coefficients of the degree-13 Pade approximant to exp and the
+# largest 1-norm for which it is accurate to double precision without
+# scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (
+    64764752532480000.0,
+    32382376266240000.0,
+    7771770303897600.0,
+    1187353796428800.0,
+    129060195264000.0,
+    10559470521600.0,
+    670442572800.0,
+    33522128640.0,
+    1323241920.0,
+    40840800.0,
+    960960.0,
+    16380.0,
+    182.0,
+    1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring.
+
+    Stays accurate where ``a`` is defective, as the collective generator is
+    at the Dicke points gamma12 = +/-gamma.  A non-finite ``a`` gives NaN.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full_like(a, np.nan)
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = np.ldexp(a, -squarings)
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def evolve_block_ode(
+    c0: CollectiveState, p: AtomPairParams, grid: TimeGrid
+) -> CollectiveState:
+    """Exact solution of the collective-basis equations on the grid; any detuning.
+
+    The state c0 is prepared at t = 0 and propagated to t_start by
+    expm(A t_start).  With P = expm(A dt) for the grid step dt, the state at
+    grid point k + m is P^m times the state at point k; the grid is filled
+    by doubling, with m = 1, 2, 4, ..., so the loop runs log2(n_points)
+    times.  Returns one CollectiveState whose fields are arrays over
+    ``grid.times()``.
+    """
+    a = generator(p)
+    y0 = np.array(
+        [c0.ree, c0.rss, c0.raa, c0.ras.real, c0.ras.imag, c0.reg.real, c0.reg.imag],
+        dtype=float,
+    )
+    if grid.t_start > 0.0:
+        y0 = expm(a * grid.t_start) @ y0
+    n = grid.n_points
+    power = expm(a * ((grid.t_end - grid.t_start) / (n - 1)))  # P^filled
+    ys = np.empty((n, 7))
+    ys[0] = y0
+    filled = 1
+    while filled < n:
+        m = min(filled, n - filled)
+        ys[filled : filled + m] = ys[:m] @ power.T
+        filled += m
+        power = power @ power
+    ree, rss, raa, as_r, as_i, eg_r, eg_i = ys.T
     return CollectiveState(
         rgg=1.0 - ree - rss - raa,
         ree=ree,
         rss=rss,
         raa=raa,
-        reg=complex(eg_r, eg_i),
-        ras=complex(as_r, as_i),
+        reg=eg_r + 1j * eg_i,
+        ras=as_r + 1j * as_i,
     )
-
-
-def evolve_block_ode(
-    c0: CollectiveState, p: AtomPairParams, grid: TimeGrid
-) -> list[CollectiveState]:
-    """Integrate the collective-basis equations of motion; handles any detuning."""
-    sol = solve_ivp(
-        _collective_rhs(p),
-        (grid.t_start, grid.t_end),
-        _pack(c0),
-        t_eval=grid.times(),
-        method="RK45",
-        rtol=RTOL,
-        atol=ATOL,
-    )
-    if not sol.success:
-        raise IntegrationError(f"block ODE integration failed: {sol.message}")
-    return [_unpack(sol.y[:, k]) for k in range(sol.y.shape[1])]
 
 
 def _pair_operators():
@@ -171,7 +270,7 @@ def lindblad_generator(p: AtomPairParams):
 
     The sign of the exchange Hamiltonian is fixed operationally: it is the one
     for which this generator reproduces the collective-basis equations of
-    motion integrated by evolve_block_ode.
+    motion propagated by evolve_block_ode.
     """
     s1m, s2m, sz1, sz2 = _pair_operators()
     s1p, s2p = s1m.conj().T, s2m.conj().T
@@ -198,7 +297,10 @@ def lindblad_generator(p: AtomPairParams):
 def evolve_full_master(
     m0: np.ndarray, p: AtomPairParams, grid: TimeGrid
 ) -> np.ndarray:
-    """Integrate the full 4x4 master equation; returns shape (n_points, 4, 4)."""
+    """Integrate the full 4x4 master equation from m0 at t = 0.
+
+    Returns the states at ``grid.times()``, shape (n_points, 4, 4).
+    """
     gen = lindblad_generator(p)
 
     def rhs(t, y):
@@ -206,7 +308,7 @@ def evolve_full_master(
 
     sol = solve_ivp(
         rhs,
-        (grid.t_start, grid.t_end),
+        (0.0, grid.t_end),
         np.asarray(m0, dtype=complex).ravel(),
         t_eval=grid.times(),
         method="RK45",
@@ -218,6 +320,9 @@ def evolve_full_master(
     return sol.y.T.reshape(-1, 4, 4)
 
 
-def total_spin_squared(c: CollectiveState) -> float:
-    """Square of the total spin; conserved only when the antisymmetric state decouples."""
+def total_spin_squared(c: CollectiveState):
+    """Square of the total spin; conserved only when the antisymmetric state decouples.
+
+    Elementwise when the fields of ``c`` are arrays.
+    """
     return 2.0 - 2.0 * c.raa

@@ -6,7 +6,6 @@ eigenvalues, partial transpose) are kept as independent oracles.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,10 @@ _INDEX = {bits: k for k, bits in enumerate(_BITS)}
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Both measures plus the two alternative branches they are built from."""
+    """Both measures plus the two alternative branches they are built from.
+
+    Scalars for one state, arrays for a trajectory.
+    """
 
     concurrence: float
     negativity: float
@@ -50,15 +52,18 @@ class EntanglementReport:
         return self.c2 * self.c2_plus
 
 
-def _sqrt_clamped(v: float) -> float:
+def _sqrt_clamped(v):
     # round-off can push analytically nonnegative arguments slightly negative
-    return math.sqrt(v) if v > 0.0 else 0.0
+    return np.sqrt(np.maximum(v, 0.0))
 
 
 def block_report(b: BlockState) -> EntanglementReport:
-    """Closed-form concurrence and negativity of a block state."""
-    a12 = abs(b.r12)
-    a34 = abs(b.r34)
+    """Closed-form concurrence and negativity of a block state.
+
+    Elementwise when the entries of ``b`` are arrays (a trajectory).
+    """
+    a12 = np.abs(b.r12)
+    a34 = np.abs(b.r34)
     root_low = _sqrt_clamped(b.r33 * b.r44)
     root_up = _sqrt_clamped(b.r11 * b.r22)
     c1 = 2.0 * (a12 - root_low)
@@ -70,8 +75,8 @@ def block_report(b: BlockState) -> EntanglementReport:
     n1 = _sqrt_clamped(4.0 * (a12 * a12 - b.r33 * b.r44) + s1 * s1) - s1
     n2 = _sqrt_clamped(4.0 * (a34 * a34 - b.r11 * b.r22) + s2 * s2) - s2
     return EntanglementReport(
-        concurrence=max(0.0, c1, c2),
-        negativity=max(0.0, n1, n2),
+        concurrence=np.maximum(0.0, np.maximum(c1, c2)),
+        negativity=np.maximum(0.0, np.maximum(n1, n2)),
         c1=c1,
         c2=c2,
         c1_plus=c1_plus,
@@ -94,7 +99,7 @@ def relation_negativity(report: EntanglementReport, b: BlockState) -> float:
     s2 = b.r11 + b.r22
     n1 = _sqrt_clamped(report.c1 * report.c1_plus + s1 * s1) - s1
     n2 = _sqrt_clamped(report.c2 * report.c2_plus + s2 * s2) - s2
-    return max(0.0, n1, n2)
+    return np.maximum(0.0, np.maximum(n1, n2))
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
@@ -183,9 +188,9 @@ def closed_form_C2_double(p: AtomPairParams, t):
     """Concurrence candidate for the both-atoms-excited start (may be negative)."""
     _check_identical(p)
     g, g12 = p.gamma, p.gamma12
-    if abs(g - g12) < EPS_DICKE:
+    if min(abs(g - g12), abs(g + g12)) < EPS_DICKE:
         raise DickeSingularityError(
-            "gamma12 == gamma: the both-excited closed form is singular"
+            "gamma12 == +/-gamma: the both-excited closed form is singular"
         )
     t = np.asarray(t, dtype=float)
     top = np.exp(-2.0 * g * t)

@@ -14,17 +14,17 @@ import numpy as np
 from .couplings import Geometry, rates_from_geometry
 from .dynamics import (
     AtomPairParams,
-    DickeSingularityError,
-    EPS_DICKE,
+    InvariantError,
     TimeGrid,
-    evolve_analytic,
     evolve_block_ode,
     total_spin_squared,
 )
-from .entanglement import block_report
+from .entanglement import EntanglementReport, block_report
 from .statespace import (
+    TOL_PSD,
     BlockState,
     CollectiveState,
+    block_violation,
     check_block,
     from_collective,
     to_collective,
@@ -85,31 +85,24 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    t: float
-    concurrence: float
-    negativity: float
-    rho_ee: float
-    rho_ss: float
-    rho_aa: float
-    rho_gg: float
-    re_rho_as: float
-    im_rho_as: float
-    s_squared: float
+class Trajectory:
+    """Output columns of one scenario, each an array over its time grid."""
 
+    t: np.ndarray
+    concurrence: np.ndarray
+    negativity: np.ndarray
+    rho_ee: np.ndarray
+    rho_ss: np.ndarray
+    rho_aa: np.ndarray
+    rho_gg: np.ndarray
+    re_rho_as: np.ndarray
+    im_rho_as: np.ndarray
+    s_squared: np.ndarray
 
-RECORD_COLUMNS = (
-    "t",
-    "concurrence",
-    "negativity",
-    "rho_ee",
-    "rho_ss",
-    "rho_aa",
-    "rho_gg",
-    "re_rho_as",
-    "im_rho_as",
-    "s_squared",
-)
+    def rows(self, columns) -> list[tuple[float, ...]]:
+        """One tuple of Python floats per time, in the order of ``columns``."""
+        return list(zip(*(getattr(self, c).tolist() for c in columns)))
+
 
 _OUTPUT_COLUMNS = {
     "concurrence": ("concurrence",),
@@ -120,9 +113,29 @@ _OUTPUT_COLUMNS = {
 }
 
 
-def record_from_state(t: float, c: CollectiveState) -> TrajectoryRecord:
-    rep = block_report(from_collective(c))
-    return TrajectoryRecord(
+def _check_physical(t: np.ndarray, b: BlockState, rep: EntanglementReport) -> None:
+    """Raise InvariantError unless every point is a physical state.
+
+    Checks finiteness, unit trace, positive populations, positivity of
+    both 2x2 blocks and N <= C, each to within 1e-9.
+    """
+    problem = block_violation(b)
+    if not problem:
+        bad = ~(rep.negativity <= rep.concurrence + TOL_PSD)
+        if np.any(bad):
+            problem = f"negativity exceeds concurrence at index {int(np.argmax(bad))}"
+    if problem:
+        raise InvariantError(
+            f"unphysical trajectory between t = {t[0]:g} and t = {t[-1]:g}: {problem}"
+        )
+
+
+def record_from_state(t: np.ndarray, c: CollectiveState) -> Trajectory:
+    """Output columns of a collective-state trajectory at the times t."""
+    b = from_collective(c)
+    rep = block_report(b)
+    _check_physical(t, b, rep)
+    return Trajectory(
         t=t,
         concurrence=rep.concurrence,
         negativity=rep.negativity,
@@ -136,28 +149,11 @@ def record_from_state(t: float, c: CollectiveState) -> TrajectoryRecord:
     )
 
 
-def evolve_states(
-    c0: CollectiveState, p: AtomPairParams, grid: TimeGrid, force_ode: bool = False
-) -> list[CollectiveState]:
-    """Analytic path when available, adaptive integration otherwise."""
-    analytic_ok = (
-        p.delta == 0.0
-        and not force_ode
-        and (c0.ree == 0.0 or abs(p.gamma - p.gamma12) >= EPS_DICKE)
-    )
-    if analytic_ok:
-        return [evolve_analytic(c0, p, t) for t in grid.times()]
-    return evolve_block_ode(c0, p, grid)
-
-
-def run_scenario(s: Scenario, force_ode: bool = False) -> list[TrajectoryRecord]:
-    try:
-        c0 = to_collective(s.initial_block())
-        p = s.params()
-        states = evolve_states(c0, p, s.grid, force_ode=force_ode)
-    except (DickeSingularityError,) as exc:
-        raise DickeSingularityError(f"scenario {s.initial!r}: {exc}") from exc
-    return [record_from_state(t, c) for t, c in zip(s.grid.times(), states)]
+def run_scenario(s: Scenario) -> Trajectory:
+    """Propagate the scenario's initial state over its grid."""
+    c0 = to_collective(s.initial_block())
+    states = evolve_block_ode(c0, s.params(), s.grid)
+    return record_from_state(s.grid.times(), states)
 
 
 def scenario_columns(s: Scenario) -> tuple[str, ...]:
@@ -183,34 +179,35 @@ class SweepRow:
 
 
 def _first_maximum(t: np.ndarray, c: np.ndarray) -> tuple[float, float]:
-    """Value and time of the first local maximum of the concurrence."""
-    for k in range(1, len(c) - 1):
-        if c[k] >= c[k - 1] and c[k] > c[k + 1] and c[k] > 1e-12:
-            return float(c[k]), float(t[k])
-    k = int(np.argmax(c))
+    """Value and time of the first local maximum of the concurrence above
+    1e-12; the global maximum if there is none."""
+    peak = (c[1:-1] >= c[:-2]) & (c[1:-1] > c[2:]) & (c[1:-1] > 1e-12)
+    hits = np.flatnonzero(peak)
+    k = int(hits[0]) + 1 if len(hits) else int(np.argmax(c))
     return float(c[k]), float(t[k])
 
 
 def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
-    """One summary row per axis value; failures are captured per row."""
+    """One summary row per axis value.
+
+    A value that is invalid or gives an unphysical trajectory is reported in
+    its row's ``error``; any other exception propagates.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     rows = []
     for v in values:
         try:
-            records = run_scenario(replace(base, **{axis: float(v)}))
-            t = np.array([r.t for r in records])
-            c = np.array([r.concurrence for r in records])
-            cmax, tmax = _first_maximum(t, c)
-            if t[-1] >= 5.0:
-                c5 = float(np.interp(5.0, t, c))
-            else:
-                c5 = float("nan")
-            rows.append(SweepRow(float(v), cmax, tmax, c5))
-        except Exception as exc:  # keep the sweep going
+            traj = run_scenario(replace(base, **{axis: float(v)}))
+        except (ValueError, InvariantError) as exc:
             rows.append(
                 SweepRow(float(v), float("nan"), float("nan"), float("nan"), str(exc))
             )
+            continue
+        t, c = traj.t, traj.concurrence
+        cmax, tmax = _first_maximum(t, c)
+        c5 = float(np.interp(5.0, t, c)) if t[-1] >= 5.0 else float("nan")
+        rows.append(SweepRow(float(v), cmax, tmax, c5))
     return rows
 
 
@@ -241,24 +238,29 @@ FIGURE_COLUMNS = {
 }
 
 
-def figure_rows(name: str) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
-    """Column names and data rows for one of the canned figures."""
+def figure_rows(
+    name: str, points: int | None = None
+) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
+    """Column names and data rows for one of the canned figures.
+
+    ``points`` replaces the number of grid points over the figure's time span.
+    """
     if name not in FIGURE_SCENARIOS:
         raise ValueError(f"unknown figure {name!r}; expected {sorted(FIGURE_SCENARIOS)}")
-    records = run_scenario(FIGURE_SCENARIOS[name])
+    s = FIGURE_SCENARIOS[name]
+    if points is not None:
+        s = replace(s, grid=TimeGrid(s.grid.t_start, s.grid.t_end, points))
+    traj = run_scenario(s)
+    values = {
+        "t": traj.t,
+        "C": traj.concurrence,
+        "N": traj.negativity,
+        "aa_minus_ss": traj.rho_aa - traj.rho_ss,
+        "aa_plus_ss": traj.rho_aa + traj.rho_ss,
+        "rho_aa": traj.rho_aa,
+    }
     cols = FIGURE_COLUMNS[name]
-    rows = []
-    for r in records:
-        values = {
-            "t": r.t,
-            "C": r.concurrence,
-            "N": r.negativity,
-            "aa_minus_ss": r.rho_aa - r.rho_ss,
-            "aa_plus_ss": r.rho_aa + r.rho_ss,
-            "rho_aa": r.rho_aa,
-        }
-        rows.append(tuple(values[c] for c in cols))
-    return cols, rows
+    return cols, list(zip(*(values[c].tolist() for c in cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +279,12 @@ def write_csv(path, columns, rows) -> None:
             fh.write(",".join(_format_value(v) for v in row) + "\n")
 
 
-def records_to_rows(records, columns):
-    return [tuple(getattr(r, c) for c in columns) for r in records]
+def finite_float(text: str, name: str = "value") -> float:
+    """Parse a float, refusing NaN and infinities with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 _SCENARIO_FLOAT_KEYS = {
@@ -330,11 +336,11 @@ def parse_scenario(text: str) -> Scenario:
     custom: dict[str, float] = {}
     for key, value in raw.items():
         if key in _CUSTOM_KEYS:
-            custom[key] = float(value)
+            custom[key] = finite_float(value, key)
         elif key in ("t_start", "t_end"):
-            grid_args[key] = float(value)
+            grid_args[key] = finite_float(value, key)
         elif key in _SCENARIO_FLOAT_KEYS:
-            kwargs[key] = float(value)
+            kwargs[key] = finite_float(value, key)
         elif key == "outputs":
             names = tuple(n.strip() for n in value.split(",") if n.strip())
             unknown = set(names) - set(ALL_OUTPUTS)

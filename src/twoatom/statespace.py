@@ -60,7 +60,11 @@ class BellState4:
 
 @dataclass(frozen=True)
 class CollectiveState:
-    """Populations and coherences in the collective basis."""
+    """Populations and coherences in the collective basis.
+
+    The fields are scalars for one state, or equal-length arrays for a
+    trajectory (as ``evolve_block_ode`` returns).
+    """
 
     rgg: float = 0.0
     ree: float = 0.0
@@ -168,7 +172,7 @@ def to_collective(b: BlockState) -> CollectiveState:
 
 
 def from_collective(c: CollectiveState) -> BlockState:
-    """Exact inverse of :func:`to_collective`."""
+    """Exact inverse of :func:`to_collective`; elementwise on a trajectory."""
     half = 0.5 * (c.rss + c.raa)
     re_as = c.ras.real
     return BlockState(
@@ -176,7 +180,7 @@ def from_collective(c: CollectiveState) -> BlockState:
         r22=c.ree,
         r33=half - re_as,
         r44=half + re_as,
-        r12=complex(np.conj(c.reg)),
+        r12=np.conj(c.reg),
         r34=0.5 * (c.rss - c.raa) - 1j * c.ras.imag,
     )
 
@@ -202,14 +206,35 @@ def is_block_form(m: np.ndarray, tol: float = TOL_PSD) -> bool:
     return bool(np.all(cross < tol))
 
 
+def block_violation(b: BlockState) -> str:
+    """The first block-state invariant that b breaks, or "" if none.
+
+    Elementwise when the entries are arrays; the message then names the
+    first offending index.
+    """
+    r11, r22, r33, r44, r12, r34 = np.broadcast_arrays(
+        b.r11, b.r22, b.r33, b.r44, b.r12, b.r34
+    )
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0 at non-finite entries
+        checks = (
+            # a sum is finite only when every term is
+            ("non-finite entry", ~np.isfinite(r11 + r22 + r33 + r44 + r12 + r34)),
+            ("populations do not sum to 1", np.abs(r11 + r22 + r33 + r44 - 1.0) > TOL_TRACE),
+            ("negative population",
+             np.minimum(np.minimum(r11, r22), np.minimum(r33, r44)) < -TOL_PSD),
+            ("upper-block coherence violates positivity",
+             np.abs(r12) ** 2 > r11 * r22 + TOL_PSD),
+            ("lower-block coherence violates positivity",
+             np.abs(r34) ** 2 > r33 * r44 + TOL_PSD),
+        )
+    for what, bad in checks:
+        if np.any(bad):
+            return f"{what} at index {int(np.argmax(bad))}" if np.ndim(bad) else what
+    return ""
+
+
 def check_block(b: BlockState) -> None:
     """Raise ValueError if b violates the block-state invariants."""
-    pops = (b.r11, b.r22, b.r33, b.r44)
-    if abs(sum(pops) - 1.0) > TOL_TRACE:
-        raise ValueError(f"populations sum to {sum(pops)}, expected 1")
-    if min(pops) < -TOL_PSD:
-        raise ValueError(f"negative population in {pops}")
-    if abs(b.r12) ** 2 > b.r11 * b.r22 + TOL_PSD:
-        raise ValueError("upper-block coherence violates positivity")
-    if abs(b.r34) ** 2 > b.r33 * b.r44 + TOL_PSD:
-        raise ValueError("lower-block coherence violates positivity")
+    problem = block_violation(b)
+    if problem:
+        raise ValueError(f"invalid block state: {problem}")

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from twoatom.statespace import BlockState
+from twoatom.statespace import BlockState, CollectiveState
 
 
 def random_block_states(rng: np.random.Generator, n: int):
@@ -33,6 +35,11 @@ def random_pure_block_states(rng: np.random.Generator, n: int):
         else:
             states.append(BlockState(r33=p, r44=q, r34=coh))
     return states
+
+
+def state_at(c: CollectiveState, k: int) -> CollectiveState:
+    """Point k of a trajectory whose fields are arrays."""
+    return CollectiveState(**{f.name: getattr(c, f.name)[k] for f in fields(c)})
 
 
 def as_block_state(pops, r12, r34) -> BlockState:

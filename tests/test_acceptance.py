@@ -25,7 +25,7 @@ from twoatom.statespace import (
     to_collective,
 )
 
-from conftest import random_block_states, random_pure_block_states
+from conftest import random_block_states, random_pure_block_states, state_at
 
 SEED = 987654321
 
@@ -106,8 +106,7 @@ def test_ac01_collective_damping_at_sixth_wavelength():
 
 def test_ac02_first_maximum_single_excitation():
     assert RATES.omega12 == pytest.approx(4.65, abs=0.01)
-    records = run_scenario(FIGURE_SCENARIOS["fig2"])
-    cmax = max(r.concurrence for r in records)
+    cmax = float(run_scenario(FIGURE_SCENARIOS["fig2"]).concurrence.max())
     _verdict(
         "AC-02 first maximum, one atom excited",
         abs(cmax - 0.86) <= 0.01,
@@ -116,8 +115,8 @@ def test_ac02_first_maximum_single_excitation():
 
 
 def test_ac03_first_maximum_nonidentical_atoms():
-    cmax2 = max(r.concurrence for r in run_scenario(FIGURE_SCENARIOS["fig2"]))
-    cmax5 = max(r.concurrence for r in run_scenario(FIGURE_SCENARIOS["fig5"]))
+    cmax2 = float(run_scenario(FIGURE_SCENARIOS["fig2"]).concurrence.max())
+    cmax5 = float(run_scenario(FIGURE_SCENARIOS["fig5"]).concurrence.max())
     _verdict(
         "AC-03 first maximum, detuned atoms",
         abs(cmax5 - 0.88) <= 0.01 and cmax5 > cmax2,
@@ -171,18 +170,18 @@ def test_ac06_ordering_and_exclusivity():
     ok = bool(np.all(neg <= conc + 1e-12)) and not bool(np.any((c1 > 0) & (c2 > 0)))
 
     for name in ("fig2", "fig4", "fig5"):
-        for r in run_scenario(FIGURE_SCENARIOS[name]):
-            rep = block_report(
-                BlockState(
-                    r11=r.rho_gg,
-                    r22=r.rho_ee,
-                    r33=0.5 * (r.rho_ss + r.rho_aa) - r.re_rho_as,
-                    r44=0.5 * (r.rho_ss + r.rho_aa) + r.re_rho_as,
-                    r34=0.5 * (r.rho_ss - r.rho_aa) - 1j * r.im_rho_as,
-                )
+        r = run_scenario(FIGURE_SCENARIOS[name])
+        rep = block_report(
+            BlockState(
+                r11=r.rho_gg,
+                r22=r.rho_ee,
+                r33=0.5 * (r.rho_ss + r.rho_aa) - r.re_rho_as,
+                r44=0.5 * (r.rho_ss + r.rho_aa) + r.re_rho_as,
+                r34=0.5 * (r.rho_ss - r.rho_aa) - 1j * r.im_rho_as,
             )
-            ok = ok and rep.negativity <= rep.concurrence + 1e-12
-            ok = ok and not (rep.c1 > 0 and rep.c2 > 0)
+        )
+        ok = ok and bool(np.all(rep.negativity <= rep.concurrence + 1e-12))
+        ok = ok and not bool(np.any((rep.c1 > 0) & (rep.c2 > 0)))
     _verdict("AC-06 N <= C and branch exclusivity", ok)
 
 
@@ -201,7 +200,8 @@ def test_ac07_dynamics_cross_validation():
         c0 = to_collective(b0)
         ode = evolve_block_ode(c0, PARAMS, grid)
         mats = evolve_full_master(block_to_matrix(b0), PARAMS, grid)
-        for t, ode_state, m in zip(grid.times(), ode, mats):
+        for k, (t, m) in enumerate(zip(grid.times(), mats)):
+            ode_state = state_at(ode, k)
             ana = evolve_analytic(c0, PARAMS, float(t))
             cm = to_collective(matrix_to_block(m))
             for a, b in ((ana, ode_state), (ana, cm)):
@@ -224,15 +224,14 @@ def test_ac07_dynamics_cross_validation():
 
 def test_ac08_envelope_and_long_time_behaviour():
     s = Scenario(grid=TimeGrid(0.0, 10.0, 2000))
-    records = run_scenario(s)
-    env_ok = True
-    tail = 0.0
-    for r in records:
-        lower = max(0.0, r.rho_aa - r.rho_ss)
-        upper = r.rho_aa + r.rho_ss
-        env_ok = env_ok and (lower - 1e-12 <= r.concurrence <= upper + 1e-12)
-        if r.t >= 5.0:
-            tail = max(tail, abs(r.concurrence - r.rho_aa))
+    r = run_scenario(s)
+    lower = np.maximum(0.0, r.rho_aa - r.rho_ss)
+    upper = r.rho_aa + r.rho_ss
+    env_ok = bool(
+        np.all((lower - 1e-12 <= r.concurrence) & (r.concurrence <= upper + 1e-12))
+    )
+    late = r.t >= 5.0
+    tail = float(np.max(np.abs(r.concurrence[late] - r.rho_aa[late])))
     _verdict(
         "AC-08 envelope bounds and long-time law",
         env_ok and tail < 1e-3,
@@ -241,9 +240,8 @@ def test_ac08_envelope_and_long_time_behaviour():
 
 
 def test_ac09_double_excitation_qualitative():
-    records = run_scenario(FIGURE_SCENARIOS["fig4"])
-    t = np.array([r.t for r in records])
-    c = np.array([r.concurrence for r in records])
+    r = run_scenario(FIGURE_SCENARIOS["fig4"])
+    t, c = r.t, r.concurrence
     zero_early = bool(np.all(c[t < 1.0] == 0.0))
     positive_late = bool(np.any(c[t > 4.0] > 0.0))
     small = float(c.max()) < 0.1
@@ -267,8 +265,8 @@ def test_ac09_double_excitation_qualitative():
 def test_ac10_total_spin_law():
     worst = 0.0
     for name in ("fig2", "fig4", "fig5"):
-        for r in run_scenario(FIGURE_SCENARIOS[name]):
-            worst = max(worst, abs(r.s_squared - (2.0 - 2.0 * r.rho_aa)))
+        r = run_scenario(FIGURE_SCENARIOS[name])
+        worst = max(worst, float(np.max(np.abs(r.s_squared - (2.0 - 2.0 * r.rho_aa)))))
     # against the full master equation as well
     grid = TimeGrid(0.0, 5.0, 101)
     mats = evolve_full_master(block_to_matrix(BlockState(r44=1.0)), PARAMS, grid)
@@ -277,8 +275,7 @@ def test_ac10_total_spin_law():
         worst = max(worst, abs(total_spin_squared(c) - (2.0 - 2.0 * c.raa)))
 
     dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
-    states = evolve_block_ode(CollectiveState(ree=1.0), dicke, grid)
-    s2 = np.array([total_spin_squared(c) for c in states])
+    s2 = total_spin_squared(evolve_block_ode(CollectiveState(ree=1.0), dicke, grid))
     constant = float(np.max(np.abs(s2 - 2.0)))
     _verdict(
         "AC-10 total-spin law and small-sample conservation",

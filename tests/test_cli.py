@@ -1,10 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoatom
+import twoatom.scenarios as scenarios
 from twoatom.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from twoatom.dynamics import DickeSingularityError, TimeGrid
+from twoatom.dynamics import (
+    DickeSingularityError,
+    TimeGrid,
+    evolve_analytic,
+    evolve_full_master,
+)
+from twoatom.entanglement import block_report
 from twoatom.scenarios import (
     FIGURE_SCENARIOS,
     Scenario,
@@ -14,6 +26,16 @@ from twoatom.scenarios import (
     run_scenario,
     sweep,
 )
+from twoatom.statespace import (
+    BlockState,
+    CollectiveState,
+    block_to_matrix,
+    from_collective,
+    matrix_to_block,
+    to_collective,
+)
+
+SRC = Path(twoatom.__file__).resolve().parents[1]
 
 FIG2_SCENARIO = """
 # one atom excited, sixth-wavelength separation
@@ -50,6 +72,9 @@ class TestScenarioParsing:
             "x 0.5\n",
             "x = 0.5\nx = 0.6\n",
             "outputs = concurrence, bogus\n",
+            "delta = nan\n",
+            "t_end = inf\n",
+            "r44 = -inf\n",
         ],
     )
     def test_rejects_malformed(self, text):
@@ -63,32 +88,73 @@ class TestScenarioParsing:
 
 class TestRunScenario:
     def test_fig2_first_maximum(self):
-        records = run_scenario(FIGURE_SCENARIOS["fig2"])
-        assert max(r.concurrence for r in records) == pytest.approx(0.86, abs=0.01)
+        traj = run_scenario(FIGURE_SCENARIOS["fig2"])
+        assert traj.concurrence.max() == pytest.approx(0.86, abs=0.01)
 
     def test_fig5_first_maximum(self):
-        records = run_scenario(FIGURE_SCENARIOS["fig5"])
-        assert max(r.concurrence for r in records) == pytest.approx(0.88, abs=0.01)
+        traj = run_scenario(FIGURE_SCENARIOS["fig5"])
+        assert traj.concurrence.max() == pytest.approx(0.88, abs=0.01)
 
     def test_antisymmetric_initial_record(self):
         s = Scenario(initial="antisymmetric", grid=TimeGrid(0.0, 1e-9, 2))
-        records = run_scenario(s)
-        assert records[0].concurrence == pytest.approx(1.0)
-        assert records[0].negativity == pytest.approx(1.0)
+        traj = run_scenario(s)
+        assert traj.concurrence[0] == pytest.approx(1.0)
+        assert traj.negativity[0] == pytest.approx(1.0)
 
     def test_analytic_and_ode_paths_agree(self):
+        # the propagator against the closed-form oracle, point by point
         s = Scenario(grid=TimeGrid(0.0, 3.0, 301))
-        fast = run_scenario(s)
-        slow = run_scenario(s, force_ode=True)
-        for a, b in zip(fast, slow):
-            for col in ("concurrence", "negativity", "rho_ss", "rho_aa", "rho_gg"):
-                assert getattr(a, col) == pytest.approx(getattr(b, col), abs=1e-7)
+        traj = run_scenario(s)
+        c0, p = to_collective(s.initial_block()), s.params()
+        for k, t in enumerate(s.grid.times()):
+            c = evolve_analytic(c0, p, float(t))
+            rep = block_report(from_collective(c))
+            oracle = {
+                "concurrence": rep.concurrence,
+                "negativity": rep.negativity,
+                "rho_ss": c.rss,
+                "rho_aa": c.raa,
+                "rho_gg": c.rgg,
+            }
+            for col, want in oracle.items():
+                assert getattr(traj, col)[k] == pytest.approx(want, abs=1e-7)
 
     def test_record_invariants(self):
-        for r in run_scenario(Scenario(initial="both_excited", grid=TimeGrid(0, 5, 50))):
-            total = r.rho_ee + r.rho_ss + r.rho_aa + r.rho_gg
-            assert total == pytest.approx(1.0, abs=1e-9)
-            assert r.s_squared == pytest.approx(2.0 - 2.0 * r.rho_aa, abs=1e-12)
+        r = run_scenario(Scenario(initial="both_excited", grid=TimeGrid(0, 5, 50)))
+        total = r.rho_ee + r.rho_ss + r.rho_aa + r.rho_gg
+        assert np.max(np.abs(total - 1.0)) <= 1e-9
+        assert np.max(np.abs(r.s_squared - (2.0 - 2.0 * r.rho_aa))) <= 1e-12
+
+    def test_state_is_prepared_at_time_zero(self):
+        # a grid starting later selects output times; it does not move the
+        # preparation, whichever detuning the scenario has
+        grid = TimeGrid(1.0, 2.0, 3)
+        exact = run_scenario(Scenario(delta=0.0, grid=grid))
+        nearly = run_scenario(Scenario(delta=1e-12, grid=grid))
+        assert np.max(np.abs(exact.concurrence - nearly.concurrence)) < 1e-9
+        c = evolve_analytic(to_collective(BlockState(r44=1.0)), Scenario().params(), 1.0)
+        assert exact.concurrence[0] == pytest.approx(
+            block_report(from_collective(c)).concurrence, abs=1e-12
+        )
+        assert exact.concurrence[0] == pytest.approx(0.405, abs=1e-3)
+
+    def test_unphysical_trajectory_is_refused(self, monkeypatch, tmp_path):
+        def unphysical(c0, p, grid):
+            n = grid.n_points
+            # |ras| = 0.9 puts a negative population in the one-excitation block
+            return CollectiveState(
+                rgg=np.zeros(n), rss=np.full(n, 0.5), raa=np.full(n, 0.5),
+                ree=np.zeros(n), reg=np.zeros(n, complex), ras=np.full(n, 0.9 + 0j),
+            )
+
+        monkeypatch.setattr(scenarios, "evolve_block_ode", unphysical)
+        with pytest.raises(twoatom.InvariantError):
+            run_scenario(Scenario(grid=TimeGrid(0.0, 1.0, 10)))
+        out = tmp_path / "bad.csv"
+        assert main(["run", "--out", str(out), "--points", "10"]) == EXIT_NUMERICAL
+        assert not out.exists()
+        (row,) = sweep(Scenario(grid=TimeGrid(0.0, 1.0, 10)), "x", [1.0])
+        assert "unphysical" in row.error
 
 
 class TestSweep:
@@ -101,16 +167,15 @@ class TestSweep:
     def test_weak_interaction_follows_envelope(self):
         base = Scenario(gamma12=0.95, omega12=None, grid=TimeGrid(0.0, 6.0, 1200))
         (row,) = sweep(base, "omega12", [0.1])
-        records = run_scenario(
+        r = run_scenario(
             Scenario(gamma12=0.95, omega12=0.1, grid=TimeGrid(0.0, 6.0, 1200))
         )
         # no fast oscillation: at most one maximum, and the concurrence hugs
         # the lower envelope once the superradiant transient is over
-        c = np.array([r.concurrence for r in records])
+        c = r.concurrence
         assert np.sum(np.diff(np.sign(np.diff(c))) != 0) <= 1
-        for r in records:
-            if r.t >= 1.0:
-                assert abs(r.concurrence - (r.rho_aa - r.rho_ss)) < 0.01
+        late = r.t >= 1.0
+        assert np.max(np.abs(c[late] - (r.rho_aa - r.rho_ss)[late])) < 0.01
         assert row.first_max_c == pytest.approx(float(c.max()), abs=1e-9)
 
     def test_detuning_axis(self):
@@ -131,6 +196,26 @@ class TestSweep:
         assert rows[0].error != ""
         assert rows[1].error == ""
 
+    def test_program_errors_are_not_captured(self, monkeypatch):
+        def broken(c0, p, grid):
+            raise ZeroDivisionError("a bug, not a bad input")
+
+        monkeypatch.setattr(scenarios, "evolve_block_ode", broken)
+        with pytest.raises(ZeroDivisionError):
+            sweep(Scenario(grid=TimeGrid(0.0, 1.0, 10)), "x", [1.0])
+
+    def test_first_maximum_matches_a_scan(self):
+        # the first grid point that is a local maximum above 1e-12, else the
+        # global maximum
+        t = np.linspace(0.0, 1.0, 9)
+        for c in ([0, 1, 3, 3, 2, 5, 1, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6, 7, 8]):
+            c = np.array(c, dtype=float)
+            want = next(
+                (k for k in range(1, 8) if c[k] >= c[k - 1] and c[k] > c[k + 1] and c[k] > 1e-12),
+                int(np.argmax(c)),
+            )
+            assert scenarios._first_maximum(t, c) == (c[want], t[want])
+
 
 class TestFigureData:
     def test_fig2_columns(self):
@@ -144,6 +229,13 @@ class TestFigureData:
         t0 = rows[0]
         assert t0[1] == pytest.approx(0.0, abs=1e-12)
         assert t0[2] == pytest.approx(0.0, abs=1e-12)
+
+    def test_points_option(self, tmp_path):
+        cols, rows = figure_rows("fig2", points=10)
+        assert len(rows) == 10 and rows[-1][0] == pytest.approx(3.0)
+        out = tmp_path / "fig4.csv"
+        assert main(["figure", "fig4", "--out", str(out), "--points", "25"]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 26
 
     def test_fig4_columns(self):
         cols, rows = figure_rows("fig4")
@@ -228,6 +320,60 @@ class TestCommandLine:
         monkeypatch.setattr(cli, "run_scenario", boom)
         code = main(["run", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_NUMERICAL
+
+    def test_anti_dicke_point(self, tmp_path):
+        scen = tmp_path / "s.txt"
+        scen.write_text(
+            "initial = both_excited\ngamma12 = -1\nomega12 = 0\nt_end = 5\npoints = 101\n"
+        )
+        out = tmp_path / "anti.csv"
+        assert main(["run", "--scenario", str(scen), "--out", str(out)]) == EXIT_OK
+        header, *lines = out.read_text().splitlines()
+        cols = dict(zip(header.split(","), np.loadtxt(lines, delimiter=",").T))
+        s = load_scenario(scen)
+        mats = evolve_full_master(block_to_matrix(s.initial_block()), s.params(), s.grid)
+        states = [to_collective(matrix_to_block(m)) for m in mats]
+        for col, field in (("rho_ee", "ree"), ("rho_ss", "rss"), ("rho_aa", "raa"), ("rho_gg", "rgg")):
+            want = np.array([getattr(c, field) for c in states])
+            assert np.max(np.abs(cols[col] - want)) < 1e-8
+
+        sweep_out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--scenario", str(scen), "--axis", "gamma12",
+                "--values=-1,0.5", "--out", str(sweep_out)]
+        assert main(argv) == EXIT_OK
+        rows = sweep_out.read_text().splitlines()[1:]
+        assert [r.split(",")[4] for r in rows] == ["", ""]
+
+    @pytest.mark.parametrize(
+        "argv,scenario",
+        [
+            (["run", "--delta", "nan"], None),
+            (["run", "--points", "0"], None),
+            (["run"], "initial = atom1_excited\nt_end = inf\n"),
+        ],
+    )
+    def test_invalid_input_exits_2_without_traceback(self, tmp_path, argv, scenario):
+        out = tmp_path / "out.csv"
+        argv = argv + ["--out", str(out)]
+        if scenario is not None:
+            (tmp_path / "s.txt").write_text(scenario)
+            argv += ["--scenario", str(tmp_path / "s.txt")]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoatom.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_invalid_values_exit_2(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        assert main(["figure", "fig2", "--points", "0", "--out", out]) == EXIT_VALIDATION
+        assert main(["sweep", "--axis", "delta", "--values=0,inf", "--out", out]) == EXIT_VALIDATION
+        with pytest.raises(SystemExit) as exc:
+            main(["couplings", "--x", "nan"])
+        assert exc.value.code == EXIT_VALIDATION
 
     def test_load_scenario_round_trip(self, tmp_path):
         scen = tmp_path / "s.txt"

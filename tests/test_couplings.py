@@ -71,6 +71,13 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError):
             Geometry(x=1.0, mu_dot_r=1.5)
 
+    @pytest.mark.parametrize(
+        "x,mu_dot_r", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan)]
+    )
+    def test_non_finite_rejected(self, x, mu_dot_r):
+        with pytest.raises(GeometryError):
+            Geometry(x=x, mu_dot_r=mu_dot_r)
+
 
 class TestRatesFromGeometry:
     def test_bundles_scaled_rates(self):

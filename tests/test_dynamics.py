@@ -3,24 +3,32 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import expm as scipy_expm
+
 from twoatom.dynamics import (
+    MAX_POINTS,
     AtomPairParams,
     DickeSingularityError,
     TimeGrid,
     evolve_analytic,
     evolve_block_ode,
     evolve_full_master,
+    expm,
+    generator,
     total_spin_squared,
 )
 from twoatom.statespace import (
     BlockState,
     CollectiveState,
     block_to_matrix,
+    from_collective,
     is_block_form,
     matrix_to_block,
     to_collective,
     validate,
 )
+
+from conftest import state_at
 
 PARAMS = AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65)
 
@@ -56,6 +64,9 @@ class TestEvolveAnalytic:
         dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
         with pytest.raises(DickeSingularityError):
             evolve_analytic(BOTH_EXCITED, dicke, 1.0)
+        anti_dicke = AtomPairParams(gamma=1.0, gamma12=-1.0)
+        with pytest.raises(DickeSingularityError):
+            evolve_analytic(BOTH_EXCITED, anti_dicke, 1.0)
 
     def test_dicke_point_fine_without_double_excitation(self):
         dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
@@ -67,27 +78,62 @@ class TestEvolveAnalytic:
             evolve_analytic(ANTISYMMETRIC, AtomPairParams(delta=1.0), 1.0)
 
 
+class TestExpm:
+    def test_matches_scipy_on_random_matrices(self):
+        rng = np.random.default_rng(7)
+        for scale in (1e-3, 0.5, 3.0, 20.0):
+            a = scale * rng.normal(size=(7, 7))
+            want = scipy_expm(a)
+            assert np.max(np.abs(expm(a) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_defective_jordan_block(self):
+        # exp(t [[l, 1], [0, l]]) = exp(l t) [[1, t], [0, 1]]
+        lam, t = -2.0, 3.0
+        out = expm(t * np.array([[lam, 1.0], [0.0, lam]]))
+        want = math.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+        assert np.max(np.abs(out - want)) < 1e-15
+
+    def test_generator_matches_scipy_at_both_dicke_points(self):
+        for g12 in (1.0, -1.0, 0.95):
+            a = generator(AtomPairParams(gamma=1.0, gamma12=g12, omega12=4.65, delta=3.0))
+            for t in (1e-3, 0.7, 40.0):
+                assert np.max(np.abs(expm(a * t) - scipy_expm(a * t))) < 1e-13
+
+    def test_non_finite_matrix_gives_nan(self):
+        assert np.all(np.isnan(expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))))
+
+
 class TestEvolveBlockOde:
     def test_matches_analytic_for_identical_atoms(self):
         grid = TimeGrid(0.0, 10.0, 201)
         states = evolve_block_ode(ATOM1_EXCITED, PARAMS, grid)
-        for t, c in zip(grid.times(), states):
+        for k, t in enumerate(grid.times()):
             ref = evolve_analytic(ATOM1_EXCITED, PARAMS, t)
-            assert np.max(np.abs(_components(c) - _components(ref))) < 1e-8
+            assert np.max(np.abs(_components(state_at(states, k)) - _components(ref))) < 1e-8
 
     def test_single_point_grid_is_initial_state(self):
         grid = TimeGrid(0.0, 1e-12, 2)
         states = evolve_block_ode(ATOM1_EXCITED, PARAMS, grid)
         assert np.allclose(
-            _components(states[0]), _components(ATOM1_EXCITED), atol=1e-12
+            _components(state_at(states, 0)), _components(ATOM1_EXCITED), atol=1e-12
         )
+
+    def test_state_is_prepared_at_time_zero(self):
+        grid = TimeGrid(1.0, 2.0, 3)
+        c0 = to_collective(BlockState(r22=0.3, r44=0.7, r12=0.1j))
+        states = evolve_block_ode(c0, PARAMS, grid)
+        mats = evolve_full_master(block_to_matrix(from_collective(c0)), PARAMS, grid)
+        for k, t in enumerate(grid.times()):
+            ref = _components(evolve_analytic(c0, PARAMS, float(t)))
+            assert np.max(np.abs(_components(state_at(states, k)) - ref)) < 1e-13
+            cm = to_collective(matrix_to_block(mats[k]))
+            assert np.max(np.abs(_components(cm) - ref)) < 1e-8
 
     def test_detuning_transfers_population_in_antiphase(self):
         p = AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65, delta=10.0)
         grid = TimeGrid(0.0, 2.0, 2001)
         states = evolve_block_ode(ATOM1_EXCITED, p, grid)
-        rss = np.array([c.rss for c in states])
-        raa = np.array([c.raa for c in states])
+        rss, raa = states.rss, states.raa
         # the exchange oscillation adds up in the difference and cancels in
         # the sum, so the sum must be far smoother than the difference
         wiggle = lambda y: float(np.abs(np.diff(y, 2)).sum())
@@ -100,13 +146,24 @@ class TestEvolveBlockOde:
         grid = TimeGrid(0.0, 5.0, 101)
         states = evolve_block_ode(BOTH_EXCITED, dicke, grid)
         # the antisymmetric state stays empty at the small-sample point
-        assert max(abs(c.raa) for c in states) < 1e-9
+        assert np.max(np.abs(states.raa)) < 1e-9
+
+    def test_anti_dicke_point_matches_master_equation(self):
+        anti = AtomPairParams(gamma=1.0, gamma12=-1.0)
+        grid = TimeGrid(0.0, 5.0, 101)
+        states = evolve_block_ode(BOTH_EXCITED, anti, grid)
+        mats = evolve_full_master(block_to_matrix(BlockState(r22=1.0)), anti, grid)
+        for k, m in enumerate(mats):
+            cm = to_collective(matrix_to_block(m))
+            assert np.max(np.abs(_components(cm) - _components(state_at(states, k)))) < 1e-8
+        # now the symmetric state is the one that stays empty
+        assert np.max(np.abs(states.rss)) < 1e-9
 
     def test_trace_preserved(self):
         grid = TimeGrid(0.0, 10.0, 101)
-        for c in evolve_block_ode(BOTH_EXCITED, PARAMS, grid):
-            total = c.rgg + c.ree + c.rss + c.raa
-            assert total == pytest.approx(1.0, abs=1e-9)
+        c = evolve_block_ode(BOTH_EXCITED, PARAMS, grid)
+        total = c.rgg + c.ree + c.rss + c.raa
+        assert np.max(np.abs(total - 1.0)) <= 1e-9
 
 
 class TestEvolveFullMaster:
@@ -127,9 +184,9 @@ class TestEvolveFullMaster:
         grid = TimeGrid(0.0, 5.0, 101)
         mats = evolve_full_master(m0, PARAMS, grid)
         states = evolve_block_ode(ATOM1_EXCITED, PARAMS, grid)
-        for m, c in zip(mats, states):
+        for k, m in enumerate(mats):
             cm = to_collective(matrix_to_block(m))
-            assert np.max(np.abs(_components(cm) - _components(c))) < 1e-7
+            assert np.max(np.abs(_components(cm) - _components(state_at(states, k)))) < 1e-7
 
     def test_matches_block_ode_with_detuning(self):
         p = AtomPairParams(gamma=1.0, gamma12=0.9, omega12=2.0, delta=5.0)
@@ -137,9 +194,9 @@ class TestEvolveFullMaster:
         grid = TimeGrid(0.0, 3.0, 61)
         mats = evolve_full_master(m0, p, grid)
         states = evolve_block_ode(to_collective(matrix_to_block(m0)), p, grid)
-        for m, c in zip(mats, states):
+        for k, m in enumerate(mats):
             cm = to_collective(matrix_to_block(m))
-            assert np.max(np.abs(_components(cm) - _components(c))) < 1e-7
+            assert np.max(np.abs(_components(cm) - _components(state_at(states, k)))) < 1e-7
 
     def test_state_stays_physical(self):
         m0 = block_to_matrix(BlockState(r22=1.0))
@@ -190,8 +247,8 @@ class TestTotalSpinSquared:
     def test_conserved_only_at_small_sample_point(self):
         dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
         grid = TimeGrid(0.0, 5.0, 101)
-        s2 = [total_spin_squared(c) for c in evolve_block_ode(BOTH_EXCITED, dicke, grid)]
-        assert np.max(np.abs(np.array(s2) - 2.0)) < 1e-9
+        s2 = total_spin_squared(evolve_block_ode(BOTH_EXCITED, dicke, grid))
+        assert np.max(np.abs(s2 - 2.0)) < 1e-9
 
         s2_ext = [
             total_spin_squared(evolve_analytic(ANTISYMMETRIC, PARAMS, float(t)))
@@ -211,9 +268,18 @@ class TestTimeGridValidation:
             TimeGrid(1.0, 1.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 1)
+        with pytest.raises(ValueError):
+            TimeGrid(0.0, 1.0, MAX_POINTS + 1)
+        for t_start, t_end in ((0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                TimeGrid(t_start, t_end, 10)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
             AtomPairParams(gamma=0.0)
         with pytest.raises(ValueError):
             AtomPairParams(gamma=1.0, gamma12=1.5)
+        for name in ("gamma", "gamma12", "omega12", "delta", "omega0"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError):
+                    AtomPairParams(**{name: bad})
