@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from twoatom.dynamics import TimeGrid
-from twoatom.scenarios import Scenario, sweep, write_csv
+from twoatom.scenarios import Scenario, sweep, sweep_table, write_csv
 
 
 def main() -> int:
@@ -23,11 +23,7 @@ def main() -> int:
     )
     values = np.linspace(0.0, 20.0, 41)
     rows = sweep(base, "delta", values.tolist())
-    write_csv(
-        out,
-        ("value", "first_max_c", "t_first_max", "c_at_t5"),
-        [(r.value, r.first_max_c, r.t_first_max, r.c_at_t5) for r in rows],
-    )
+    write_csv(out, sweep_table(rows))
     best = max(rows, key=lambda r: r.first_max_c)
     print(f"wrote {out} ({len(rows)} rows)")
     print(f"largest first maximum {best.first_max_c:.4f} at delta = {best.value:g}")

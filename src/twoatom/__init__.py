@@ -30,8 +30,6 @@ from .entanglement import (
     closed_form_C2_single,
     closed_form_N2_single,
     concurrence_bell_form,
-    concurrence_block,
-    negativity_block,
     negativity_generic,
     relation_negativity,
     wootters_generic,
@@ -70,7 +68,6 @@ __all__ = [
     "closed_form_N2_single",
     "collective_damping",
     "concurrence_bell_form",
-    "concurrence_block",
     "dipole_dipole_shift",
     "evolve_analytic",
     "evolve_block_ode",
@@ -78,7 +75,6 @@ __all__ = [
     "from_bell",
     "from_collective",
     "is_block_form",
-    "negativity_block",
     "negativity_generic",
     "rates_from_geometry",
     "relation_negativity",

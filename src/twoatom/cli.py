@@ -20,6 +20,7 @@ from .scenarios import (
     run_scenario,
     scenario_columns,
     sweep,
+    sweep_table,
     write_csv,
 )
 
@@ -99,8 +100,7 @@ def _cmd_couplings(args) -> int:
 def _cmd_run(args) -> int:
     s = _scenario_from_args(args)
     traj = run_scenario(s)
-    columns = scenario_columns(s)
-    write_csv(args.out, columns, traj.rows(columns))
+    write_csv(args.out, {c: getattr(traj, c) for c in scenario_columns(s)})
     print(f"wrote {len(traj.t)} records to {args.out}")
     return EXIT_OK
 
@@ -111,21 +111,15 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ValueError("no sweep values given")
     rows = sweep(s, args.axis, values)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("value,first_max_c,t_first_max,c_at_t5,error\n")
-        for r in rows:
-            fh.write(
-                f"{r.value:.17g},{r.first_max_c:.17g},{r.t_first_max:.17g},"
-                f"{r.c_at_t5:.17g},{r.error}\n"
-            )
+    write_csv(args.out, sweep_table(rows))
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_figure(args) -> int:
-    columns, rows = figure_rows(args.name, args.points)
-    write_csv(args.out, columns, rows)
-    print(f"wrote {len(rows)} rows for {args.name} to {args.out}")
+    table = figure_rows(args.name, args.points)
+    write_csv(args.out, table)
+    print(f"wrote {len(table['t'])} rows for {args.name} to {args.out}")
     return EXIT_OK
 
 

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 # Below this separation the 1/x^3 near field dominates: the damping is at its
 # small-sample limit while the shift diverges.
 X_MIN = 1e-6
+# Beyond this separation the 1/x^2 and 1/x^3 near-field terms are below
+# 1e-200 and are dropped (x ** 3 would overflow further out); the rates fall
+# to 0 with the 1/x far field.
+X_FAR = 1e100
 
 
 class GeometryError(ValueError):
@@ -55,10 +59,8 @@ def collective_damping(g: Geometry) -> float:
     if x < X_MIN:
         return 1.0
     m2 = g.mu_dot_r ** 2
-    return 1.5 * (
-        (1.0 - m2) * math.sin(x) / x
-        + (1.0 - 3.0 * m2) * (math.cos(x) / x ** 2 - math.sin(x) / x ** 3)
-    )
+    near = 0.0 if x > X_FAR else math.cos(x) / x ** 2 - math.sin(x) / x ** 3
+    return 1.5 * ((1.0 - m2) * math.sin(x) / x + (1.0 - 3.0 * m2) * near)
 
 
 def dipole_dipole_shift(g: Geometry) -> float:
@@ -72,10 +74,8 @@ def dipole_dipole_shift(g: Geometry) -> float:
             f"dipole-dipole shift diverges as 1/x^3; x={x} is below {X_MIN}"
         )
     m2 = g.mu_dot_r ** 2
-    return 0.75 * (
-        -(1.0 - m2) * math.cos(x) / x
-        + (1.0 - 3.0 * m2) * (math.sin(x) / x ** 2 + math.cos(x) / x ** 3)
-    )
+    near = 0.0 if x > X_FAR else math.sin(x) / x ** 2 + math.cos(x) / x ** 3
+    return 0.75 * (-(1.0 - m2) * math.cos(x) / x + (1.0 - 3.0 * m2) * near)
 
 
 def rates_from_geometry(g: Geometry, gamma: float = 1.0) -> CouplingRates:

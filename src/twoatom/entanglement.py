@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AtomPairParams, DickeSingularityError, EPS_DICKE
-from .statespace import BellState4, BlockState, from_bell
+from .statespace import BellState4, BlockState
 
 # Spin flip |gg><ee| + |ee><gg| + |ge><eg| + |eg><ge| in the product ordering.
 _FLIP = np.array(
@@ -42,14 +42,6 @@ class EntanglementReport:
     c2: float
     c1_plus: float
     c2_plus: float
-
-    @property
-    def c1_product(self) -> float:
-        return self.c1 * self.c1_plus
-
-    @property
-    def c2_product(self) -> float:
-        return self.c2 * self.c2_plus
 
 
 def _sqrt_clamped(v):
@@ -82,14 +74,6 @@ def block_report(b: BlockState) -> EntanglementReport:
         c1_plus=c1_plus,
         c2_plus=c2_plus,
     )
-
-
-def concurrence_block(b: BlockState) -> EntanglementReport:
-    return block_report(b)
-
-
-def negativity_block(b: BlockState) -> EntanglementReport:
-    return block_report(b)
 
 
 def relation_negativity(report: EntanglementReport, b: BlockState) -> float:
@@ -149,10 +133,6 @@ def concurrence_bell_form(p: BellState4) -> tuple[float, float]:
     c1 = _sqrt_clamped(up_diff) - _sqrt_clamped(low_sum)
     c2 = _sqrt_clamped(low_diff) - _sqrt_clamped(up_sum)
     return c1, c2
-
-
-def bell_report(p: BellState4) -> EntanglementReport:
-    return block_report(from_bell(p))
 
 
 def _check_identical(p: AtomPairParams) -> None:

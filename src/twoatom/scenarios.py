@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -99,10 +100,6 @@ class Trajectory:
     im_rho_as: np.ndarray
     s_squared: np.ndarray
 
-    def rows(self, columns) -> list[tuple[float, ...]]:
-        """One tuple of Python floats per time, in the order of ``columns``."""
-        return list(zip(*(getattr(self, c).tolist() for c in columns)))
-
 
 _OUTPUT_COLUMNS = {
     "concurrence": ("concurrence",),
@@ -190,6 +187,8 @@ def _first_maximum(t: np.ndarray, c: np.ndarray) -> tuple[float, float]:
 def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
     """One summary row per axis value.
 
+    ``c_at_t5`` is the concurrence at t = 5: interpolated on the scenario's
+    grid when the grid spans t = 5, propagated exactly to t = 5 otherwise.
     A value that is invalid or gives an unphysical trajectory is reported in
     its row's ``error``; any other exception propagates.
     """
@@ -197,18 +196,32 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     rows = []
     for v in values:
+        s = replace(base, **{axis: float(v)})
         try:
-            traj = run_scenario(replace(base, **{axis: float(v)}))
+            traj = run_scenario(s)
+            # bench/reference.py interpolates C(5) on the grid in the same way
+            at5 = traj
+            if not traj.t[0] <= 5.0 <= traj.t[-1]:
+                at5 = run_scenario(replace(s, grid=TimeGrid(0.0, 5.0, 2)))
         except (ValueError, InvariantError) as exc:
             rows.append(
                 SweepRow(float(v), float("nan"), float("nan"), float("nan"), str(exc))
             )
             continue
-        t, c = traj.t, traj.concurrence
-        cmax, tmax = _first_maximum(t, c)
-        c5 = float(np.interp(5.0, t, c)) if t[-1] >= 5.0 else float("nan")
+        cmax, tmax = _first_maximum(traj.t, traj.concurrence)
+        c5 = float(np.interp(5.0, at5.t, at5.concurrence))
         rows.append(SweepRow(float(v), cmax, tmax, c5))
     return rows
+
+
+def sweep_table(rows: list[SweepRow]) -> dict:
+    """The CSV columns of a sweep: four float arrays and the error texts."""
+    table = {
+        name: np.array([getattr(r, name) for r in rows], dtype=float)
+        for name in ("value", "first_max_c", "t_first_max", "c_at_t5")
+    }
+    table["error"] = [r.error for r in rows]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +251,8 @@ FIGURE_COLUMNS = {
 }
 
 
-def figure_rows(
-    name: str, points: int | None = None
-) -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
-    """Column names and data rows for one of the canned figures.
+def figure_rows(name: str, points: int | None = None) -> dict[str, np.ndarray]:
+    """The columns of one of the canned figures, by header.
 
     ``points`` replaces the number of grid points over the figure's time span.
     """
@@ -259,24 +270,39 @@ def figure_rows(
         "aa_plus_ss": traj.rho_aa + traj.rho_ss,
         "rho_aa": traj.rho_aa,
     }
-    cols = FIGURE_COLUMNS[name]
-    return cols, list(zip(*(values[c].tolist() for c in cols)))
+    return {c: values[c] for c in FIGURE_COLUMNS[name]}
 
 
 # ---------------------------------------------------------------------------
 # scenario files and CSV output
 
 
-def _format_value(v: float) -> str:
-    return format(v, ".17g")
+def _csv_field(text: str) -> str:
+    # RFC 4180: quote only a field that holds a separator, quote or line break
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def write_csv(path, columns, rows) -> None:
-    """Deterministic CSV: fixed header, 17 significant digits, LF endings."""
+def write_csv(path, table) -> None:
+    """Deterministic CSV of named columns.
+
+    ``table`` maps each header to its column: a float array, written to 17
+    significant digits, or a list of str, quoted only where it must be.
+    Fixed header order, LF line endings.
+    """
+    # fields are formatted lazily, row by row, so no column of strings is
+    # ever held whole; float.__format__ is format(v, ".17g") without the
+    # builtin's dispatch
+    columns = [
+        map(float.__format__, column.tolist(), repeat(".17g"))
+        if isinstance(column, np.ndarray)
+        else map(_csv_field, column)
+        for column in table.values()
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
+        fh.write(",".join(table) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns, strict=True))
 
 
 def finite_float(text: str, name: str = "value") -> float:

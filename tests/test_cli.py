@@ -1,11 +1,15 @@
+import csv
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import twoatom
 import twoatom.scenarios as scenarios
@@ -25,6 +29,7 @@ from twoatom.scenarios import (
     parse_scenario,
     run_scenario,
     sweep,
+    write_csv,
 )
 from twoatom.statespace import (
     BlockState,
@@ -204,6 +209,16 @@ class TestSweep:
         with pytest.raises(ZeroDivisionError):
             sweep(Scenario(grid=TimeGrid(0.0, 1.0, 10)), "x", [1.0])
 
+    def test_c_at_t5_outside_the_grid_is_propagated(self):
+        # grids that end before t = 5 or start after it: C(5) is propagated
+        # exactly, not clamped to the grid's end points
+        exact = run_scenario(Scenario(grid=TimeGrid(0.0, 5.0, 2))).concurrence[1]
+        for grid in (TimeGrid(0.0, 3.0, 30), TimeGrid(6.0, 8.0, 5)):
+            (row,) = sweep(Scenario(grid=grid), "delta", [0.0])
+            assert row.error == ""
+            assert row.c_at_t5 == exact
+        assert exact == pytest.approx(0.3816, abs=1e-4)
+
     def test_first_maximum_matches_a_scan(self):
         # the first grid point that is a local maximum above 1e-12, else the
         # global maximum
@@ -219,32 +234,59 @@ class TestSweep:
 
 class TestFigureData:
     def test_fig2_columns(self):
-        cols, rows = figure_rows("fig2")
-        assert cols == ("t", "C", "aa_minus_ss", "aa_plus_ss")
-        assert len(rows) == 3000
+        table = figure_rows("fig2")
+        assert tuple(table) == ("t", "C", "aa_minus_ss", "aa_plus_ss")
+        assert all(len(col) == 3000 for col in table.values())
 
     def test_fig3_starts_at_zero(self):
-        cols, rows = figure_rows("fig3")
-        assert cols == ("t", "C", "N")
-        t0 = rows[0]
-        assert t0[1] == pytest.approx(0.0, abs=1e-12)
-        assert t0[2] == pytest.approx(0.0, abs=1e-12)
+        table = figure_rows("fig3")
+        assert tuple(table) == ("t", "C", "N")
+        assert table["C"][0] == pytest.approx(0.0, abs=1e-12)
+        assert table["N"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_points_option(self, tmp_path):
-        cols, rows = figure_rows("fig2", points=10)
-        assert len(rows) == 10 and rows[-1][0] == pytest.approx(3.0)
+        t = figure_rows("fig2", points=10)["t"]
+        assert len(t) == 10 and t[-1] == pytest.approx(3.0)
         out = tmp_path / "fig4.csv"
         assert main(["figure", "fig4", "--out", str(out), "--points", "25"]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 26
 
     def test_fig4_columns(self):
-        cols, rows = figure_rows("fig4")
-        assert cols == ("t", "C", "N", "rho_aa")
-        assert max(r[1] for r in rows) < 0.1
+        table = figure_rows("fig4")
+        assert tuple(table) == ("t", "C", "N", "rho_aa")
+        assert table["C"].max() < 0.1
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
             figure_rows("fig9")
+
+
+class TestWriteCsv:
+    def test_floats_at_17_significant_digits(self, tmp_path):
+        v = np.array([0.1, -0.0, 1e-300, 5e-324, math.pi, -1e308, math.nan, 2.0, 1 / 3])
+        w = v[::-1]
+        out = tmp_path / "a.csv"
+        write_csv(out, {"v": v, "w": w})
+        want = "v,w\n" + "".join(
+            format(a, ".17g") + "," + format(b, ".17g") + "\n"
+            for a, b in zip(v.tolist(), w.tolist())
+        )
+        assert out.read_bytes() == want.encode()
+
+    def test_text_is_quoted_only_when_it_must_be(self, tmp_path):
+        texts = ["", "plain", "a, b", 'say "x"', "two\nlines", "cr\r"]
+        out = tmp_path / "b.csv"
+        write_csv(out, {"value": np.arange(6.0), "error": texts})
+        data = out.read_bytes()
+        assert data.startswith(b"value,error\n0,\n1,plain\n2,\"a, b\"\n3,\"say \"\"x\"\"\"\n")
+        with open(out, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["value", "error"]
+        assert [r[1] for r in rows] == texts
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "c.csv", {"a": np.zeros(3), "b": np.zeros(2)})
 
 
 class TestCommandLine:
@@ -303,6 +345,48 @@ class TestCommandLine:
         lines = out.read_text().splitlines()
         assert lines[0] == "value,first_max_c,t_first_max,c_at_t5,error"
         assert len(lines) == 3
+
+    def test_sweep_error_text_is_quoted(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "mu_dot_r", "--values=1.5,0", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [5, 5, 5]
+        (bad,) = sweep(Scenario(), "mu_dot_r", [1.5])
+        assert "," in bad.error
+        assert rows[1][4] == bad.error
+        assert rows[2][4] == ""
+
+    def test_sweep_c_at_t5_on_the_default_grid(self, tmp_path):
+        # the default grid ends at t = 3; C(5) must still equal what `run`
+        # writes at t = 5
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "delta", "--values=0,10", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        scen = tmp_path / "s.txt"
+        scen.write_text("t_end = 5\npoints = 11\n")
+        for row in rows:
+            traj = tmp_path / "traj.csv"
+            argv = ["run", "--scenario", str(scen), "--delta", row["value"], "--out", str(traj)]
+            assert main(argv) == EXIT_OK
+            with open(traj, encoding="utf-8", newline="") as fh:
+                last = list(csv.DictReader(fh))[-1]
+            assert float(last["t"]) == 5.0
+            assert math.isfinite(float(row["c_at_t5"])) and row["error"] == ""
+            assert float(row["c_at_t5"]) == pytest.approx(float(last["concurrence"]), abs=1e-12)
+
+    def test_huge_separation(self, tmp_path, capsys):
+        assert main(["couplings", "--x", "1e308"]) == EXIT_OK
+        assert "gamma12 = " in capsys.readouterr().out
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "x", "--values=1e308", "--out", str(out)]) == EXIT_OK
+        with open(out, encoding="utf-8", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row.pop("error") == ""
+        assert all(math.isfinite(float(v)) for v in row.values())
 
     def test_figure_csv(self, tmp_path):
         out = tmp_path / "fig3.csv"
@@ -381,3 +465,78 @@ class TestCommandLine:
         s = load_scenario(scen)
         assert s.initial == "symmetric"
         assert s.grid == TimeGrid(0.0, 2.0, 20)
+
+
+# ---------------------------------------------------------------------------
+# the command-line contract under generated input
+
+_NUMBERS = st.one_of(
+    st.floats(-20.0, 20.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1.0, -1.0, 1e-7, 1e308, -1e308, 5e-324]),
+)
+_SCENARIO_LINES = {
+    "initial": st.sampled_from([*scenarios.INITIAL_STATES, "custom", "half_excited"]),
+    "x": _NUMBERS,
+    "mu_dot_r": st.one_of(st.floats(-1.2, 1.2), _NUMBERS),
+    "gamma": _NUMBERS,
+    "gamma12": st.one_of(st.floats(-1.1, 1.1), _NUMBERS),
+    "omega12": _NUMBERS,
+    "delta": _NUMBERS,
+    "t_start": st.one_of(st.floats(0.0, 10.0), _NUMBERS),
+    "t_end": st.one_of(st.floats(0.0, 10.0), _NUMBERS),
+    "outputs": st.lists(st.sampled_from(scenarios.ALL_OUTPUTS), min_size=1).map(",".join),
+    **{k: st.one_of(st.floats(-0.2, 1.2), _NUMBERS)
+       for k in ("r11", "r22", "r33", "r44", "r12_re", "r12_im", "r34_re", "r34_im")},
+}
+
+
+@st.composite
+def _scenario_texts(draw) -> str:
+    keys = draw(st.lists(st.sampled_from(sorted(_SCENARIO_LINES)), unique=True, max_size=8))
+    lines = [f"{k} = {draw(_SCENARIO_LINES[k])}" for k in keys]
+    lines.append(f"points = {draw(st.integers(-1, 60))}")  # small grids only
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(["run", "sweep"]))
+    argv = [command]
+    if command == "run":
+        for flag in ("--x", "--mu-dot-r", "--delta"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(_NUMBERS)}")
+        if draw(st.booleans()):
+            argv.append("--initial=" + draw(_SCENARIO_LINES["initial"]))
+    else:
+        values = draw(st.lists(_NUMBERS, min_size=1, max_size=3))
+        argv += ["--axis", draw(st.sampled_from(scenarios.SWEEP_AXES)),
+                 "--values=" + ",".join(map(str, values))]
+    if draw(st.booleans()):
+        argv.append(f"--points={draw(st.integers(-1, 60))}")
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=_scenario_texts(), argv=_argvs())
+    def test_main_exits_with_a_documented_code(self, text, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            scen, out = Path(tmp) / "s.txt", Path(tmp) / "out.csv"
+            scen.write_text(text, encoding="utf-8")
+            try:
+                code = main([*argv, "--scenario", str(scen), "--out", str(out)])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+            assert out.exists() == (code == EXIT_OK)
+            if code != EXIT_OK:
+                return
+            with open(out, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(r) == len(header) for r in rows)
+            for row in rows:
+                fields = dict(zip(header, row))
+                if fields.pop("error", "") == "":
+                    assert all(math.isfinite(float(v)) for v in fields.values()), row

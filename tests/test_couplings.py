@@ -98,6 +98,15 @@ class TestRatesFromGeometry:
         assert abs(rates.gamma12) < 1e-2
         assert abs(rates.omega12) < 1e-2
 
+    @pytest.mark.parametrize("mu_dot_r", [0.0, 1.0])
+    @pytest.mark.parametrize("x", [1e100, 1.0000001e100, 1e200, 1e308])
+    def test_rates_vanish_at_huge_separations(self, x, mu_dot_r):
+        # x ** 3 overflows beyond 5.6e102; the near-field terms are dropped
+        # there, and the rates keep falling like 1/x
+        rates = rates_from_geometry(Geometry(x=x, mu_dot_r=mu_dot_r))
+        assert abs(rates.gamma12) <= 1.5 / x
+        assert abs(rates.omega12) <= 0.75 / x
+
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(GeometryError):
             rates_from_geometry(Geometry(x=1.0), gamma=0.0)

@@ -15,8 +15,6 @@ from twoatom.entanglement import (
     closed_form_C2_single,
     closed_form_N2_single,
     concurrence_bell_form,
-    concurrence_block,
-    negativity_block,
     negativity_generic,
     partial_transpose_atom1,
     relation_negativity,
@@ -41,7 +39,7 @@ MAXIMALLY_MIXED = BlockState(r11=0.25, r22=0.25, r33=0.25, r44=0.25)
 
 class TestBlockClosedForms:
     def test_bell_state_concurrence_unity(self):
-        assert concurrence_block(SYMMETRIC_BELL).concurrence == pytest.approx(1.0)
+        assert block_report(SYMMETRIC_BELL).concurrence == pytest.approx(1.0)
 
     def test_maximally_mixed_separable(self):
         rep = block_report(MAXIMALLY_MIXED)
@@ -54,7 +52,7 @@ class TestBlockClosedForms:
         assert rep.c2 == pytest.approx(0.5)
 
     def test_antisymmetric_negativity_unity(self):
-        assert negativity_block(ANTISYMMETRIC_BELL).negativity == pytest.approx(1.0)
+        assert block_report(ANTISYMMETRIC_BELL).negativity == pytest.approx(1.0)
 
     def test_product_state_unentangled(self):
         rep = block_report(BlockState(r11=1.0))
