@@ -15,7 +15,6 @@ from .couplings import (
 from .dynamics import (
     AtomPairParams,
     DickeSingularityError,
-    IntegrationError,
     InvariantError,
     TimeGrid,
     evolve_analytic,
@@ -57,7 +56,6 @@ __all__ = [
     "EntanglementReport",
     "Geometry",
     "GeometryError",
-    "IntegrationError",
     "InvariantError",
     "Scenario",
     "TimeGrid",

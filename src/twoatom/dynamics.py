@@ -12,7 +12,7 @@ Two independent routes are kept as oracles for it:
 * ``evolve_analytic`` -- exponential closed forms for identical atoms (zero
   detuning) away from the Dicke points;
 * ``evolve_full_master`` -- the full 4x4 Lindblad generator in the product
-  basis, integrated by RK45.
+  basis, as a 16x16 superoperator stepped exactly on the grid.
 
 Every route prepares the initial state at t = 0; a time grid only selects
 the output times (see ``TimeGrid``).
@@ -23,13 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .statespace import CollectiveState
 
 EPS_DICKE = 1e-8
-RTOL = 1e-10
-ATOL = 1e-12
 # Largest output grid: a trajectory and its CSV rows take about 0.5 kB per
 # point in memory.
 MAX_POINTS = 100_000
@@ -37,10 +34,6 @@ MAX_POINTS = 100_000
 
 class DickeSingularityError(ArithmeticError):
     """Closed form is singular at gamma12 == +/-gamma with excited population."""
-
-
-class IntegrationError(RuntimeError):
-    """The adaptive integrator failed to meet its tolerance."""
 
 
 class InvariantError(ArithmeticError):
@@ -238,7 +231,7 @@ def evolve_block_ode(
     filled = 1
     while filled < n:
         m = min(filled, n - filled)
-        ys[filled : filled + m] = ys[:m] @ power.T
+        np.matmul(ys[:m], power.T, out=ys[filled : filled + m])
         filled += m
         power = power @ power
     ree, rss, raa, as_r, as_i, eg_r, eg_i = ys.T
@@ -297,27 +290,31 @@ def lindblad_generator(p: AtomPairParams):
 def evolve_full_master(
     m0: np.ndarray, p: AtomPairParams, grid: TimeGrid
 ) -> np.ndarray:
-    """Integrate the full 4x4 master equation from m0 at t = 0.
+    """Exact solution of the full 4x4 master equation from m0 at t = 0.
 
-    Returns the states at ``grid.times()``, shape (n_points, 4, 4).
+    Steps vec(rho)(t + dt) = expm(L dt) vec(rho)(t) one grid point at a
+    time, after expm(L t_start) from t = 0.  Unlike ``evolve_block_ode`` it
+    does not fill the grid by doubling, so as an oracle it shares only
+    ``expm`` with it.  ``expm`` scales by powers of two with ``np.ldexp``,
+    which takes real input only, so L acts in its 32x32 real form on
+    (Re vec(rho), Im vec(rho)).  Returns the states at ``grid.times()``,
+    shape (n_points, 4, 4).
     """
     gen = lindblad_generator(p)
-
-    def rhs(t, y):
-        return gen(y.reshape(4, 4)).ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, grid.t_end),
-        np.asarray(m0, dtype=complex).ravel(),
-        t_eval=grid.times(),
-        method="RK45",
-        rtol=RTOL,
-        atol=ATOL,
-    )
-    if not sol.success:
-        raise IntegrationError(f"master equation integration failed: {sol.message}")
-    return sol.y.T.reshape(-1, 4, 4)
+    # the 16x16 superoperator L, vec(drho/dt) = L vec(rho) with vec = ravel:
+    # column k is the generator applied to the k-th unit matrix
+    lv = np.stack([gen(e.reshape(4, 4)).ravel() for e in np.eye(16)], axis=1)
+    real = np.block([[lv.real, -lv.imag], [lv.imag, lv.real]])
+    v = np.asarray(m0, dtype=complex).ravel()
+    y = np.concatenate([v.real, v.imag])
+    if grid.t_start > 0.0:
+        y = expm(real * grid.t_start) @ y
+    step = expm(real * ((grid.t_end - grid.t_start) / (grid.n_points - 1)))
+    ys = np.empty((grid.n_points, 32))
+    for k in range(grid.n_points):
+        ys[k] = y
+        y = step @ y
+    return (ys[:, :16] + 1j * ys[:, 16:]).reshape(-1, 4, 4)
 
 
 def total_spin_squared(c: CollectiveState):
@@ -326,3 +323,18 @@ def total_spin_squared(c: CollectiveState):
     Elementwise when the fields of ``c`` are arrays.
     """
     return 2.0 - 2.0 * c.raa
+
+
+def __getattr__(name: str):
+    # bench/tracer.py counts solver evaluations at twoatom.dynamics.solve_ivp.
+    # No evolution here uses scipy, so the name is resolved only when asked
+    # for and importing twoatom never loads scipy.
+    if name == "solve_ivp":
+        try:
+            from scipy.integrate import solve_ivp
+        except ImportError:
+            raise AttributeError(
+                f"module {__name__!r} has no attribute 'solve_ivp': scipy is not installed"
+            ) from None
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

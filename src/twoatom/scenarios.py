@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -119,7 +118,7 @@ def _check_physical(t: np.ndarray, b: BlockState, rep: EntanglementReport) -> No
     problem = block_violation(b)
     if not problem:
         bad = ~(rep.negativity <= rep.concurrence + TOL_PSD)
-        if np.any(bad):
+        if bad.any():
             problem = f"negativity exceeds concurrence at index {int(np.argmax(bad))}"
     if problem:
         raise InvariantError(
@@ -284,6 +283,10 @@ def _csv_field(text: str) -> str:
     return text
 
 
+# rows formatted per write: bounds the text held at once at MAX_POINTS rows
+_CSV_CHUNK = 2048
+
+
 def write_csv(path, table) -> None:
     """Deterministic CSV of named columns.
 
@@ -291,18 +294,26 @@ def write_csv(path, table) -> None:
     significant digits, or a list of str, quoted only where it must be.
     Fixed header order, LF line endings.
     """
-    # fields are formatted lazily, row by row, so no column of strings is
-    # ever held whole; float.__format__ is format(v, ".17g") without the
-    # builtin's dispatch
-    columns = [
-        map(float.__format__, column.tolist(), repeat(".17g"))
-        if isinstance(column, np.ndarray)
-        else map(_csv_field, column)
-        for column in table.values()
-    ]
+    columns = list(table.values())
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError("CSV columns differ in length")
+    # "%.17g" formats a float exactly as format(v, ".17g"); one template per
+    # row, repeated over a chunk of rows, formats the chunk in one operation
+    row = ",".join(
+        "%.17g" if isinstance(column, np.ndarray) else "%s" for column in columns
+    ) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(table) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns, strict=True))
+        for start in range(0, n, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, n)
+            cells = np.empty((stop - start, len(columns)), dtype=object)
+            for j, column in enumerate(columns):
+                part = column[start:stop]
+                cells[:, j] = (
+                    part if isinstance(column, np.ndarray) else list(map(_csv_field, part))
+                )
+            fh.write((row * (stop - start)) % tuple(cells.ravel().tolist()))
 
 
 def finite_float(text: str, name: str = "value") -> float:

@@ -215,11 +215,14 @@ def block_violation(b: BlockState) -> str:
     r11, r22, r33, r44, r12, r34 = np.broadcast_arrays(
         b.r11, b.r22, b.r33, b.r44, b.r12, b.r34
     )
-    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0 at non-finite entries
+    # inf - inf and inf * 0 at non-finite entries; |r|**2 overflows to inf near
+    # 1e300, which still fails the positivity checks
+    with np.errstate(invalid="ignore", over="ignore"):
+        trace = r11 + r22 + r33 + r44
         checks = (
             # a sum is finite only when every term is
-            ("non-finite entry", ~np.isfinite(r11 + r22 + r33 + r44 + r12 + r34)),
-            ("populations do not sum to 1", np.abs(r11 + r22 + r33 + r44 - 1.0) > TOL_TRACE),
+            ("non-finite entry", ~np.isfinite(trace + r12 + r34)),
+            ("populations do not sum to 1", np.abs(trace - 1.0) > TOL_TRACE),
             ("negative population",
              np.minimum(np.minimum(r11, r22), np.minimum(r33, r44)) < -TOL_PSD),
             ("upper-block coherence violates positivity",
@@ -228,7 +231,7 @@ def block_violation(b: BlockState) -> str:
              np.abs(r34) ** 2 > r33 * r44 + TOL_PSD),
         )
     for what, bad in checks:
-        if np.any(bad):
+        if bad.any():
             return f"{what} at index {int(np.argmax(bad))}" if np.ndim(bad) else what
     return ""
 

@@ -284,6 +284,19 @@ class TestWriteCsv:
         assert header == ["value", "error"]
         assert [r[1] for r in rows] == texts
 
+    def test_chunked_template_matches_format_per_value(self, tmp_path, monkeypatch):
+        # a chunk boundary inside the table, and one mixed float/text table
+        monkeypatch.setattr(scenarios, "_CSV_CHUNK", 4)
+        v = np.array([-0.0, 5e-324, math.nan, math.inf, -math.inf, 1 / 3, 0.1, -2.5e-310, 7.0])
+        texts = ["", "a, b", "plain", 'q"', "", "x", "", "y", "z"]
+        out = tmp_path / "mixed.csv"
+        write_csv(out, {"v": v, "error": texts, "w": -v})
+        want = "v,error,w\n" + "".join(
+            f"{format(a, '.17g')},{scenarios._csv_field(e)},{format(b, '.17g')}\n"
+            for a, e, b in zip(v.tolist(), texts, (-v).tolist())
+        )
+        assert out.read_bytes() == want.encode()
+
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "c.csv", {"a": np.zeros(3), "b": np.zeros(2)})
@@ -450,6 +463,33 @@ class TestCommandLine:
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_overflowing_entry_exits_2_with_only_the_error_line(self, tmp_path):
+        # |r34|**2 overflows to inf, which fails the positivity check silently
+        scen = tmp_path / "s.txt"
+        scen.write_text("initial = custom\nr33 = 0.5\nr44 = 0.5\nr34_re = 1e300\n")
+        out = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoatom.cli", "run", "--scenario", str(scen),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not out.exists()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = (
+            f"import sys; sys.path.insert(0, {str(SRC)!r}); import twoatom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_invalid_values_exit_2(self, tmp_path):
         out = str(tmp_path / "out.csv")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm as scipy_expm
 
 from twoatom.dynamics import (
@@ -15,8 +16,10 @@ from twoatom.dynamics import (
     evolve_full_master,
     expm,
     generator,
+    lindblad_generator,
     total_spin_squared,
 )
+from twoatom.scenarios import FIGURE_SCENARIOS
 from twoatom.statespace import (
     BlockState,
     CollectiveState,
@@ -167,6 +170,31 @@ class TestEvolveBlockOde:
 
 
 class TestEvolveFullMaster:
+    @pytest.mark.parametrize(
+        "grid",
+        [FIGURE_SCENARIOS["fig5"].grid, TimeGrid(1.5, 4.0, 700)],
+        ids=["fig5", "t_start"],
+    )
+    def test_matches_rk45(self, grid):
+        # the fig5 scenario (delta = 10), integrated by RK45 from t = 0
+        fig5 = FIGURE_SCENARIOS["fig5"]
+        p = fig5.params()
+        m0 = block_to_matrix(fig5.initial_block())
+        gen = lindblad_generator(p)
+        sol = solve_ivp(
+            lambda t, y: gen(y.reshape(4, 4)).ravel(),
+            (0.0, grid.t_end),
+            m0.ravel(),
+            t_eval=grid.times(),
+            method="RK45",
+            rtol=1e-10,
+            atol=1e-12,
+        )
+        assert sol.success, sol.message
+        mats = evolve_full_master(m0, p, grid)
+        assert mats.shape == (grid.n_points, 4, 4)
+        assert np.max(np.abs(mats - sol.y.T.reshape(-1, 4, 4))) < 1e-9
+
     def test_block_form_preserved(self):
         m0 = block_to_matrix(BlockState(r22=0.5, r44=0.5, r34=0.0))
         grid = TimeGrid(0.0, 5.0, 51)
