@@ -122,21 +122,14 @@ def negativity_generic(m: np.ndarray) -> float:
     return max(0.0, -2.0 * float(mu[mu < 0.0].sum()))
 
 
-def _sum_sq_minus(a, b, x):
-    """(a + b)**2 - 4 x**2, factored so that the factor that cancels is a sum
-    of the differences a -+ x and b -+ x, which are exact when a, b and |x|
-    are close (Sterbenz); the plain difference of squares loses sqrt(ulp)
-    once the square root is taken."""
-    return ((a - x) + (b - x)) * ((a + x) + (b + x))
-
-
 def concurrence_bell_form(p: BellState4) -> tuple[float, float]:
     """The two concurrence branches evaluated directly in the Bell basis."""
-    # with p21 = conj(p12): (p12 - p21)**2 = -4 Im(p12)**2, (p12 + p21)**2 = 4 Re(p12)**2
-    up_diff = (p.p11 - p.p22) ** 2 + 4.0 * p.p12.imag**2
-    up_sum = _sum_sq_minus(p.p11, p.p22, p.p12.real)
-    low_diff = (p.p33 - p.p44) ** 2 + 4.0 * p.p34.imag**2
-    low_sum = _sum_sq_minus(p.p33, p.p44, p.p34.real)
+    p12, p21 = p.p12, np.conj(p.p12)
+    p34, p43 = p.p34, np.conj(p.p34)
+    up_diff = ((p.p11 - p.p22) ** 2 - (p12 - p21) ** 2).real
+    up_sum = ((p.p11 + p.p22) ** 2 - (p12 + p21) ** 2).real
+    low_diff = ((p.p33 - p.p44) ** 2 - (p34 - p43) ** 2).real
+    low_sum = ((p.p33 + p.p44) ** 2 - (p34 + p43) ** 2).real
     c1 = _sqrt_clamped(up_diff) - _sqrt_clamped(low_sum)
     c2 = _sqrt_clamped(low_diff) - _sqrt_clamped(up_sum)
     return c1, c2

@@ -303,17 +303,19 @@ def write_csv(path, table) -> None:
     row = ",".join(
         "%.17g" if isinstance(column, np.ndarray) else "%s" for column in columns
     ) + "\n"
+    width = len(columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(table) + "\n")
         for start in range(0, n, _CSV_CHUNK):
             stop = min(start + _CSV_CHUNK, n)
-            cells = np.empty((stop - start, len(columns)), dtype=object)
+            # one flat list in row order: column j fills every width-th cell from j
+            cells = [None] * ((stop - start) * width)
             for j, column in enumerate(columns):
                 part = column[start:stop]
-                cells[:, j] = (
-                    part if isinstance(column, np.ndarray) else list(map(_csv_field, part))
+                cells[j::width] = (
+                    part.tolist() if isinstance(column, np.ndarray) else list(map(_csv_field, part))
                 )
-            fh.write((row * (stop - start)) % tuple(cells.ravel().tolist()))
+            fh.write((row * (stop - start)) % tuple(cells))
 
 
 def finite_float(text: str, name: str = "value") -> float:
