@@ -5,7 +5,10 @@ coefficients, dy/dt = A y, so one exact propagator serves every scenario:
 
 * ``evolve_block_ode`` -- steps y(t + dt) = expm(A dt) y(t) on the uniform
   output grid; valid for any detuning, including the Dicke points
-  gamma12 = +/-gamma where the closed forms are singular.
+  gamma12 = +/-gamma where the closed forms are singular.  It returns the
+  trajectory as one real (7, n_points) array whose rows are the components
+  of y (see ``generator``); ``scenarios.record_from_state`` maps those rows
+  to the output columns and checks them.
 
 Two independent routes are kept as oracles for it:
 
@@ -27,8 +30,11 @@ import numpy as np
 from .statespace import CollectiveState
 
 EPS_DICKE = 1e-8
-# Largest output grid: a trajectory and its CSV rows take about 0.5 kB per
-# point in memory.
+# Largest output grid.  A trajectory takes about 0.25 kB per point in memory
+# at its peak: 27 float rows (the state, the output columns and the record
+# temporaries) and the masks of the invariant checks; writing its CSV adds at
+# most a chunk of text.  Measured with tracemalloc on `run_scenario` and
+# `write_csv` at 100 000 points.
 MAX_POINTS = 100_000
 
 
@@ -200,22 +206,28 @@ def expm(a: np.ndarray) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     )
     out = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        out = out @ out
+    # a huge norm overflows to inf and NaN here; callers refuse the result
+    # by its non-finite entries, so numpy's warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            out = out @ out
     return out
 
 
 def evolve_block_ode(
-    c0: CollectiveState, p: AtomPairParams, grid: TimeGrid
-) -> CollectiveState:
+    c0: CollectiveState, p: AtomPairParams, grid: TimeGrid, out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact solution of the collective-basis equations on the grid; any detuning.
 
     The state c0 is prepared at t = 0 and propagated to t_start by
     expm(A t_start).  With P = expm(A dt) for the grid step dt, the state at
     grid point k + m is P^m times the state at point k; the grid is filled
     by doubling, with m = 1, 2, 4, ..., so the loop runs log2(n_points)
-    times.  Returns one CollectiveState whose fields are arrays over
-    ``grid.times()``.
+    times.  Returns the trajectory as one C-contiguous float array of shape
+    (7, n_points) over ``grid.times()``: the rows are the components of y
+    in ``generator``, ree, rss, raa, Re ras, Im ras, Re reg, Im reg
+    (rgg = 1 - ree - rss - raa).  ``out``, of that shape, receives them
+    instead of a new array.
     """
     a = generator(p)
     y0 = np.array(
@@ -226,23 +238,15 @@ def evolve_block_ode(
         y0 = expm(a * grid.t_start) @ y0
     n = grid.n_points
     power = expm(a * ((grid.t_end - grid.t_start) / (n - 1)))  # P^filled
-    ys = np.empty((n, 7))
-    ys[0] = y0
+    ys = np.empty((7, n)) if out is None else out
+    ys[:, 0] = y0
     filled = 1
     while filled < n:
         m = min(filled, n - filled)
-        np.matmul(ys[:m], power.T, out=ys[filled : filled + m])
+        np.matmul(power, ys[:, :m], out=ys[:, filled : filled + m])
         filled += m
         power = power @ power
-    ree, rss, raa, as_r, as_i, eg_r, eg_i = ys.T
-    return CollectiveState(
-        rgg=1.0 - ree - rss - raa,
-        ree=ree,
-        rss=rss,
-        raa=raa,
-        reg=eg_r + 1j * eg_i,
-        ras=as_r + 1j * as_i,
-    )
+    return ys
 
 
 def _pair_operators():

@@ -17,16 +17,13 @@ from .dynamics import (
     InvariantError,
     TimeGrid,
     evolve_block_ode,
-    total_spin_squared,
 )
-from .entanglement import EntanglementReport, block_report
 from .statespace import (
     TOL_PSD,
     BlockState,
-    CollectiveState,
-    block_violation,
+    at_index,
     check_block,
-    from_collective,
+    first_violation,
     to_collective,
 )
 
@@ -109,47 +106,125 @@ _OUTPUT_COLUMNS = {
 }
 
 
-def _check_physical(t: np.ndarray, b: BlockState, rep: EntanglementReport) -> None:
-    """Raise InvariantError unless every point is a physical state.
+# Rows of a record workspace (see ``record_from_state``): five contiguous
+# output columns, eleven temporaries and four rows that hold the interleaved
+# (n, 2) parts of r12 and of r34, whose second column is Im ras.
+WORK_ROWS = 20
 
-    Checks finiteness, unit trace, positive populations, positivity of
-    both 2x2 blocks and N <= C, each to within 1e-9.
+
+def record_from_state(
+    t: np.ndarray, ys: np.ndarray, work: np.ndarray | None = None
+) -> Trajectory:
+    """Output columns of a trajectory, from the rows ``evolve_block_ode`` fills.
+
+    Raises InvariantError unless every point is a physical state: finite,
+    unit trace, positive populations, both 2x2 blocks positive and N <= C,
+    each to within 1e-9.  The first five are ``statespace.first_violation``,
+    the checks of ``block_violation``; the message names the first broken
+    invariant, in that order, and its first index.
+    The columns, the concurrence and the negativity are those of
+    ``entanglement.block_report`` on ``statespace.from_collective`` of the
+    rows, computed in real arithmetic with the same rounding steps, so they
+    agree bit for bit.
+
+    ``work``, a C-contiguous float array of shape (WORK_ROWS, n), receives
+    the output columns and the temporaries; the returned trajectory's
+    columns are views of it and of ``ys``.  Without it, a new one is made.
     """
-    problem = block_violation(b)
+    n = ys.shape[1]
+    if work is None:
+        work = np.empty((WORK_ROWS, n))
+    ree, rss, raa, as_re, as_im, eg_re, eg_im = ys
+    rgg, re_as, conc, neg, s_sq, r33, r44, s1, s2, up, low, a12, a34, sq12, sq34, tmp = work[:16]
+    r12, r34 = work[16:20].reshape(2, n, 2)  # (Re, Im) per point, up to signs
+    im_as = r34[:, 1]
+    # inf - inf and inf * 0 at non-finite entries; a coherence near 1e300
+    # overflows |r|**2 to inf, which still fails the positivity checks
+    with np.errstate(invalid="ignore", over="ignore"):
+        # rho_gg, and Re/Im of ras as the complex as_re + 1j * as_im holds
+        # them: 0 * as_im and + 0.0 reproduce its signed zeros
+        np.subtract(1.0, ree, out=rgg)
+        np.subtract(rgg, rss, out=rgg)
+        np.subtract(rgg, raa, out=rgg)
+        np.add(as_re, np.multiply(as_im, 0.0, out=re_as), out=re_as)
+        np.add(as_im, 0.0, out=im_as)
+        # the block state: r11 = rgg, r22 = ree, r33, r44, r12 = conj(reg),
+        # r34 = (rss - raa) / 2 - 1j Im ras
+        np.multiply(np.add(rss, raa, out=r33), 0.5, out=r33)
+        np.add(r33, re_as, out=r44)
+        np.subtract(r33, re_as, out=r33)
+        np.multiply(np.subtract(rss, raa, out=tmp), 0.5, out=r34[:, 0])
+        r12[:, 0], r12[:, 1] = eg_re, eg_im
+        # |r| as np.abs of a complex view: hypot of the parts, signs aside
+        np.abs(r12.view(np.complex128)[:, 0], out=a12)
+        np.abs(r34.view(np.complex128)[:, 0], out=a34)
+        np.add(rgg, ree, out=s2)
+        np.add(r33, r44, out=s1)
+        trace = np.add(np.add(s2, r33, out=tmp), r44, out=tmp)
+        np.multiply(a12, a12, out=sq12)
+        np.multiply(a34, a34, out=sq34)
+        np.multiply(rgg, ree, out=up)
+        np.multiply(r33, r44, out=low)
+        # a sum is finite only when every term is: the real and the imaginary
+        # part of trace + r12 + r34
+        finite = np.isfinite(np.add(np.add(trace, eg_re, out=conc), r34[:, 0], out=conc))
+        finite &= np.isfinite(np.add(eg_im, im_as, out=conc))
+        problem = first_violation(finite, trace, (rgg, ree, r33, r44), ((sq12, up), (sq34, low)))
     if not problem:
-        bad = ~(rep.negativity <= rep.concurrence + TOL_PSD)
+        # C = 2 max(0, |r12| - sqrt(r33 r44), |r34| - sqrt(r11 r22)); the
+        # factor 2 is exact, so it may come last
+        for branch, a, product in ((conc, a12, low), (tmp, a34, up)):
+            np.sqrt(np.maximum(product, 0.0, out=branch), out=branch)
+            np.subtract(a, branch, out=branch)
+        np.multiply(np.maximum(0.0, np.maximum(conc, tmp, out=conc), out=conc), 2.0, out=conc)
+        # N = max(0, n1, n2), n = sqrt(4 (|r|^2 - product) + s^2) - s
+        for branch, sq, product, s in ((neg, sq12, low, s1), (tmp, sq34, up, s2)):
+            np.multiply(np.subtract(sq, product, out=branch), 4.0, out=branch)
+            np.add(branch, np.multiply(s, s, out=sq), out=branch)
+            np.sqrt(np.maximum(branch, 0.0, out=branch), out=branch)
+            np.subtract(branch, s, out=branch)
+        np.maximum(0.0, np.maximum(neg, tmp, out=neg), out=neg)
+        bad = neg > np.add(conc, TOL_PSD, out=sq12)
         if bad.any():
-            problem = f"negativity exceeds concurrence at index {int(np.argmax(bad))}"
+            problem = at_index("negativity exceeds concurrence", bad)
     if problem:
         raise InvariantError(
             f"unphysical trajectory between t = {t[0]:g} and t = {t[-1]:g}: {problem}"
         )
-
-
-def record_from_state(t: np.ndarray, c: CollectiveState) -> Trajectory:
-    """Output columns of a collective-state trajectory at the times t."""
-    b = from_collective(c)
-    rep = block_report(b)
-    _check_physical(t, b, rep)
+    np.subtract(2.0, np.multiply(raa, 2.0, out=s_sq), out=s_sq)
     return Trajectory(
         t=t,
-        concurrence=rep.concurrence,
-        negativity=rep.negativity,
-        rho_ee=c.ree,
-        rho_ss=c.rss,
-        rho_aa=c.raa,
-        rho_gg=c.rgg,
-        re_rho_as=c.ras.real,
-        im_rho_as=c.ras.imag,
-        s_squared=total_spin_squared(c),
+        concurrence=conc,
+        negativity=neg,
+        rho_ee=ree,
+        rho_ss=rss,
+        rho_aa=raa,
+        rho_gg=rgg,
+        re_rho_as=re_as,
+        im_rho_as=im_as,
+        s_squared=s_sq,
     )
 
 
-def run_scenario(s: Scenario) -> Trajectory:
-    """Propagate the scenario's initial state over its grid."""
+def workspace(grid: TimeGrid) -> np.ndarray:
+    """Room for one trajectory on the grid: the 7 state rows, then the
+    WORK_ROWS rows of ``record_from_state``."""
+    return np.empty((7 + WORK_ROWS, grid.n_points))
+
+
+def run_scenario(s: Scenario, work: np.ndarray | None = None) -> Trajectory:
+    """Propagate the scenario's initial state over its grid.
+
+    ``work``, a ``workspace`` of the scenario's grid, lets a caller that
+    runs many scenarios on one grid reuse its memory; the trajectory's
+    columns are then views of it, overwritten by the next call.  Without it
+    the trajectory owns its arrays.
+    """
+    if work is None:
+        work = workspace(s.grid)
     c0 = to_collective(s.initial_block())
-    states = evolve_block_ode(c0, s.params(), s.grid)
-    return record_from_state(s.grid.times(), states)
+    ys = evolve_block_ode(c0, s.params(), s.grid, out=work[:7])
+    return record_from_state(s.grid.times(), ys, work[7:])
 
 
 def scenario_columns(s: Scenario) -> tuple[str, ...]:
@@ -193,11 +268,14 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    # no axis changes the grid: every row reuses one workspace, and its
+    # summary is read before the next row overwrites it
+    work = workspace(base.grid)
     rows = []
     for v in values:
         s = replace(base, **{axis: float(v)})
         try:
-            traj = run_scenario(s)
+            traj = run_scenario(s, work)
             # bench/reference.py interpolates C(5) on the grid in the same way
             at5 = traj
             if not traj.t[0] <= 5.0 <= traj.t[-1]:

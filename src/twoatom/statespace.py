@@ -63,7 +63,7 @@ class CollectiveState:
     """Populations and coherences in the collective basis.
 
     The fields are scalars for one state, or equal-length arrays for a
-    trajectory (as ``evolve_block_ode`` returns).
+    trajectory (``evolve_block_ode`` returns a trajectory as rows instead).
     """
 
     rgg: float = 0.0
@@ -206,6 +206,41 @@ def is_block_form(m: np.ndarray, tol: float = TOL_PSD) -> bool:
     return bool(np.all(cross < tol))
 
 
+def at_index(what: str, bad) -> str:
+    """``what``, naming the first True entry of ``bad`` when it is an array."""
+    return f"{what} at index {int(np.argmax(bad))}" if np.ndim(bad) else what
+
+
+def first_violation(finite, trace, populations, blocks) -> str:
+    """The first block-state invariant broken, or "" if none, from parts a
+    caller has already computed:
+
+    * ``finite``: True where every entry is finite;
+    * ``trace``: r11 + r22 + r33 + r44;
+    * ``populations``: (r11, r22, r33, r44);
+    * ``blocks``: (|r12|**2, r11 * r22) and (|r34|**2, r33 * r44).
+
+    The checks run in that order, each to within TOL_TRACE or TOL_PSD.
+    Elementwise on arrays; the message then names the first offending index.
+    """
+    r11, r22, r33, r44 = populations
+    (sq12, up), (sq34, low) = blocks
+    # NaN at non-finite entries fails every comparison
+    with np.errstate(invalid="ignore"):
+        checks = (
+            ("non-finite entry", ~finite),
+            ("populations do not sum to 1", np.abs(trace - 1.0) > TOL_TRACE),
+            ("negative population",
+             np.minimum(np.minimum(r11, r22), np.minimum(r33, r44)) < -TOL_PSD),
+            ("upper-block coherence violates positivity", sq12 > up + TOL_PSD),
+            ("lower-block coherence violates positivity", sq34 > low + TOL_PSD),
+        )
+    for what, bad in checks:
+        if bad.any():
+            return at_index(what, bad)
+    return ""
+
+
 def block_violation(b: BlockState) -> str:
     """The first block-state invariant that b breaks, or "" if none.
 
@@ -219,21 +254,13 @@ def block_violation(b: BlockState) -> str:
     # 1e300, which still fails the positivity checks
     with np.errstate(invalid="ignore", over="ignore"):
         trace = r11 + r22 + r33 + r44
-        checks = (
+        return first_violation(
             # a sum is finite only when every term is
-            ("non-finite entry", ~np.isfinite(trace + r12 + r34)),
-            ("populations do not sum to 1", np.abs(trace - 1.0) > TOL_TRACE),
-            ("negative population",
-             np.minimum(np.minimum(r11, r22), np.minimum(r33, r44)) < -TOL_PSD),
-            ("upper-block coherence violates positivity",
-             np.abs(r12) ** 2 > r11 * r22 + TOL_PSD),
-            ("lower-block coherence violates positivity",
-             np.abs(r34) ** 2 > r33 * r44 + TOL_PSD),
+            np.isfinite(trace + r12 + r34),
+            trace,
+            (r11, r22, r33, r44),
+            ((np.abs(r12) ** 2, r11 * r22), (np.abs(r34) ** 2, r33 * r44)),
         )
-    for what, bad in checks:
-        if bad.any():
-            return f"{what} at index {int(np.argmax(bad))}" if np.ndim(bad) else what
-    return ""
 
 
 def check_block(b: BlockState) -> None:

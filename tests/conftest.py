@@ -37,6 +37,21 @@ def random_pure_block_states(rng: np.random.Generator, n: int):
     return states
 
 
+def collective(ys) -> CollectiveState:
+    """The rows ``evolve_block_ode`` returns, as one CollectiveState with
+    array fields (rgg = 1 - ree - rss - raa): the input of the
+    ``from_collective`` / ``block_report`` oracles."""
+    ree, rss, raa, as_re, as_im, eg_re, eg_im = ys
+    return CollectiveState(
+        rgg=1.0 - ree - rss - raa,
+        ree=ree,
+        rss=rss,
+        raa=raa,
+        reg=eg_re + 1j * eg_im,
+        ras=as_re + 1j * as_im,
+    )
+
+
 def state_at(c: CollectiveState, k: int) -> CollectiveState:
     """Point k of a trajectory whose fields are arrays."""
     return CollectiveState(**{f.name: getattr(c, f.name)[k] for f in fields(c)})

@@ -25,7 +25,12 @@ from twoatom.statespace import (
     to_collective,
 )
 
-from conftest import random_block_states, random_pure_block_states, state_at
+from conftest import (
+    collective,
+    random_block_states,
+    random_pure_block_states,
+    state_at,
+)
 
 SEED = 987654321
 
@@ -198,7 +203,7 @@ def test_ac07_dynamics_cross_validation():
     block_ok = True
     for b0 in scenarios.values():
         c0 = to_collective(b0)
-        ode = evolve_block_ode(c0, PARAMS, grid)
+        ode = collective(evolve_block_ode(c0, PARAMS, grid))
         mats = evolve_full_master(block_to_matrix(b0), PARAMS, grid)
         for k, (t, m) in enumerate(zip(grid.times(), mats)):
             ode_state = state_at(ode, k)
@@ -275,7 +280,7 @@ def test_ac10_total_spin_law():
         worst = max(worst, abs(total_spin_squared(c) - (2.0 - 2.0 * c.raa)))
 
     dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
-    s2 = total_spin_squared(evolve_block_ode(CollectiveState(ree=1.0), dicke, grid))
+    s2 = total_spin_squared(collective(evolve_block_ode(CollectiveState(ree=1.0), dicke, grid)))
     constant = float(np.max(np.abs(s2 - 2.0)))
     _verdict(
         "AC-10 total-spin law and small-sample conservation",

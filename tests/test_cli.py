@@ -33,7 +33,6 @@ from twoatom.scenarios import (
 )
 from twoatom.statespace import (
     BlockState,
-    CollectiveState,
     block_to_matrix,
     from_collective,
     matrix_to_block,
@@ -144,13 +143,14 @@ class TestRunScenario:
         assert exact.concurrence[0] == pytest.approx(0.405, abs=1e-3)
 
     def test_unphysical_trajectory_is_refused(self, monkeypatch, tmp_path):
-        def unphysical(c0, p, grid):
-            n = grid.n_points
-            # |ras| = 0.9 puts a negative population in the one-excitation block
-            return CollectiveState(
-                rgg=np.zeros(n), rss=np.full(n, 0.5), raa=np.full(n, 0.5),
-                ree=np.zeros(n), reg=np.zeros(n, complex), ras=np.full(n, 0.9 + 0j),
-            )
+        def unphysical(c0, p, grid, out=None):
+            # rows ree, rss, raa, Re ras, Im ras, Re reg, Im reg: rgg = 0,
+            # rss = raa = 0.5, and |ras| = 0.9 puts a negative population in
+            # the one-excitation block
+            ys = np.zeros((7, grid.n_points))
+            ys[1:3] = 0.5
+            ys[3] = 0.9
+            return ys
 
         monkeypatch.setattr(scenarios, "evolve_block_ode", unphysical)
         with pytest.raises(twoatom.InvariantError):
@@ -202,7 +202,7 @@ class TestSweep:
         assert rows[1].error == ""
 
     def test_program_errors_are_not_captured(self, monkeypatch):
-        def broken(c0, p, grid):
+        def broken(c0, p, grid, out=None):
             raise ZeroDivisionError("a bug, not a bad input")
 
         monkeypatch.setattr(scenarios, "evolve_block_ode", broken)
@@ -479,6 +479,30 @@ class TestCommandLine:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not out.exists()
+
+    def test_overflowing_propagator_exits_3_with_only_the_error_line(self, tmp_path):
+        # expm squares about 650 times and overflows to inf and NaN; the
+        # non-finite check refuses the trajectory without numpy warnings
+        out = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoatom.cli", "run", "--delta=1e200", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+        assert proc.stderr.startswith("numerical failure: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not out.exists()
+
+    def test_huge_separation_in_a_fresh_process(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoatom.cli", "couplings", "--x", "1e308"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "gamma12 = " in proc.stdout
 
     def test_cli_import_leaves_scipy_unloaded(self):
         code = (

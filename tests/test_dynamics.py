@@ -31,7 +31,7 @@ from twoatom.statespace import (
     validate,
 )
 
-from conftest import state_at
+from conftest import collective, state_at
 
 PARAMS = AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65)
 
@@ -109,14 +109,14 @@ class TestExpm:
 class TestEvolveBlockOde:
     def test_matches_analytic_for_identical_atoms(self):
         grid = TimeGrid(0.0, 10.0, 201)
-        states = evolve_block_ode(ATOM1_EXCITED, PARAMS, grid)
+        states = collective(evolve_block_ode(ATOM1_EXCITED, PARAMS, grid))
         for k, t in enumerate(grid.times()):
             ref = evolve_analytic(ATOM1_EXCITED, PARAMS, t)
             assert np.max(np.abs(_components(state_at(states, k)) - _components(ref))) < 1e-8
 
     def test_single_point_grid_is_initial_state(self):
         grid = TimeGrid(0.0, 1e-12, 2)
-        states = evolve_block_ode(ATOM1_EXCITED, PARAMS, grid)
+        states = collective(evolve_block_ode(ATOM1_EXCITED, PARAMS, grid))
         assert np.allclose(
             _components(state_at(states, 0)), _components(ATOM1_EXCITED), atol=1e-12
         )
@@ -124,7 +124,7 @@ class TestEvolveBlockOde:
     def test_state_is_prepared_at_time_zero(self):
         grid = TimeGrid(1.0, 2.0, 3)
         c0 = to_collective(BlockState(r22=0.3, r44=0.7, r12=0.1j))
-        states = evolve_block_ode(c0, PARAMS, grid)
+        states = collective(evolve_block_ode(c0, PARAMS, grid))
         mats = evolve_full_master(block_to_matrix(from_collective(c0)), PARAMS, grid)
         for k, t in enumerate(grid.times()):
             ref = _components(evolve_analytic(c0, PARAMS, float(t)))
@@ -135,7 +135,7 @@ class TestEvolveBlockOde:
     def test_detuning_transfers_population_in_antiphase(self):
         p = AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65, delta=10.0)
         grid = TimeGrid(0.0, 2.0, 2001)
-        states = evolve_block_ode(ATOM1_EXCITED, p, grid)
+        states = collective(evolve_block_ode(ATOM1_EXCITED, p, grid))
         rss, raa = states.rss, states.raa
         # the exchange oscillation adds up in the difference and cancels in
         # the sum, so the sum must be far smoother than the difference
@@ -147,14 +147,14 @@ class TestEvolveBlockOde:
     def test_dicke_point_supported(self):
         dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
         grid = TimeGrid(0.0, 5.0, 101)
-        states = evolve_block_ode(BOTH_EXCITED, dicke, grid)
+        states = collective(evolve_block_ode(BOTH_EXCITED, dicke, grid))
         # the antisymmetric state stays empty at the small-sample point
         assert np.max(np.abs(states.raa)) < 1e-9
 
     def test_anti_dicke_point_matches_master_equation(self):
         anti = AtomPairParams(gamma=1.0, gamma12=-1.0)
         grid = TimeGrid(0.0, 5.0, 101)
-        states = evolve_block_ode(BOTH_EXCITED, anti, grid)
+        states = collective(evolve_block_ode(BOTH_EXCITED, anti, grid))
         mats = evolve_full_master(block_to_matrix(BlockState(r22=1.0)), anti, grid)
         for k, m in enumerate(mats):
             cm = to_collective(matrix_to_block(m))
@@ -164,7 +164,7 @@ class TestEvolveBlockOde:
 
     def test_trace_preserved(self):
         grid = TimeGrid(0.0, 10.0, 101)
-        c = evolve_block_ode(BOTH_EXCITED, PARAMS, grid)
+        c = collective(evolve_block_ode(BOTH_EXCITED, PARAMS, grid))
         total = c.rgg + c.ree + c.rss + c.raa
         assert np.max(np.abs(total - 1.0)) <= 1e-9
 
@@ -211,7 +211,7 @@ class TestEvolveFullMaster:
         m0 = block_to_matrix(BlockState(r44=1.0))
         grid = TimeGrid(0.0, 5.0, 101)
         mats = evolve_full_master(m0, PARAMS, grid)
-        states = evolve_block_ode(ATOM1_EXCITED, PARAMS, grid)
+        states = collective(evolve_block_ode(ATOM1_EXCITED, PARAMS, grid))
         for k, m in enumerate(mats):
             cm = to_collective(matrix_to_block(m))
             assert np.max(np.abs(_components(cm) - _components(state_at(states, k)))) < 1e-7
@@ -221,7 +221,7 @@ class TestEvolveFullMaster:
         m0 = block_to_matrix(BlockState(r44=1.0))
         grid = TimeGrid(0.0, 3.0, 61)
         mats = evolve_full_master(m0, p, grid)
-        states = evolve_block_ode(to_collective(matrix_to_block(m0)), p, grid)
+        states = collective(evolve_block_ode(to_collective(matrix_to_block(m0)), p, grid))
         for k, m in enumerate(mats):
             cm = to_collective(matrix_to_block(m))
             assert np.max(np.abs(_components(cm) - _components(state_at(states, k)))) < 1e-7
@@ -275,7 +275,7 @@ class TestTotalSpinSquared:
     def test_conserved_only_at_small_sample_point(self):
         dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
         grid = TimeGrid(0.0, 5.0, 101)
-        s2 = total_spin_squared(evolve_block_ode(BOTH_EXCITED, dicke, grid))
+        s2 = total_spin_squared(collective(evolve_block_ode(BOTH_EXCITED, dicke, grid)))
         assert np.max(np.abs(s2 - 2.0)) < 1e-9
 
         s2_ext = [

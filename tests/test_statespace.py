@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from twoatom.statespace import (
     U_BELL,
     bell_to_matrix,
     block_to_matrix,
+    block_violation,
     check_block,
     from_bell,
     from_collective,
@@ -156,3 +159,30 @@ def test_check_block_rejects_bad_trace():
 def test_check_block_rejects_overlarge_coherence():
     with pytest.raises(ValueError):
         check_block(BlockState(r11=0.5, r22=0.5, r12=0.6))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"r12": complex(0.0, math.inf)}, {"r34": complex(math.nan, 0.0)}, {"r34": complex(0.0, -math.inf)}],
+)
+def test_block_violation_names_a_non_finite_coherence(entry):
+    assert block_violation(BlockState(r11=1.0, **entry)) == "non-finite entry"
+
+
+INSIDE, OUTSIDE = 0.5e-9, 2e-9  # within and beyond the 1e-9 tolerances
+
+
+@pytest.mark.parametrize(
+    "what,state",
+    [
+        ("populations do not sum to 1", lambda e: BlockState(r11=1.0 + e)),
+        ("negative population", lambda e: BlockState(r11=-e, r22=1.0 + e)),
+        ("upper-block coherence violates positivity",
+         lambda e: BlockState(r11=0.5, r22=0.5, r12=math.sqrt(0.25 + e))),
+        ("lower-block coherence violates positivity",
+         lambda e: BlockState(r33=0.5, r44=0.5, r34=1j * math.sqrt(0.25 + e))),
+    ],
+)
+def test_block_violation_tolerances(what, state):
+    assert block_violation(state(INSIDE)) == ""
+    assert block_violation(state(OUTSIDE)) == what
