@@ -8,7 +8,11 @@ coefficients, dy/dt = A y, so one exact propagator serves every scenario:
   gamma12 = +/-gamma where the closed forms are singular.  It returns the
   trajectory as one real (7, n_points) array whose rows are the components
   of y (see ``generator``); ``scenarios.record_from_state`` maps those rows
-  to the output columns and checks them.
+  to the output columns and checks them.  Its two steps are shared with
+  ``scenarios.run_scenario`` and ``scenarios.sweep``: ``propagators``
+  exponentiates a stack of generators, one per parameter set, in one
+  ``expm`` call (which takes stacks of matrices), and ``fill`` propagates
+  one initial state with one of them.
 
 Two independent routes are kept as oracles for it:
 
@@ -30,8 +34,8 @@ import numpy as np
 from .statespace import CollectiveState
 
 EPS_DICKE = 1e-8
-# Largest output grid.  A trajectory takes about 0.25 kB per point in memory
-# at its peak: 27 float rows (the state, the output columns and the record
+# Largest output grid.  A trajectory takes about 0.23 kB per point in memory
+# at its peak: 24 float rows (the state, the output columns and the record
 # temporaries) and the masks of the invariant checks; writing its CSV adds at
 # most a chunk of text.  Measured with tracemalloc on `run_scenario` and
 # `write_csv` at 100 000 points.
@@ -181,19 +185,33 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
+def _squarings(norm: float) -> int:
+    """Halvings that bring a matrix of 1-norm ``norm`` within _THETA13."""
+    return math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by Pade-13 scaling and squaring.
 
-    Stays accurate where ``a`` is defective, as the collective generator is
-    at the Dicke points gamma12 = +/-gamma.  A non-finite ``a`` gives NaN.
+    ``a`` is one square matrix or a stack of them, shape (..., m, m).  Each
+    matrix of a stack gets its own scaling and squaring count, so its
+    exponential has the same bits as a call on that matrix alone.  Stays
+    accurate where a matrix is defective, as the collective generator is at
+    the Dicke points gamma12 = +/-gamma.  A non-finite matrix gives NaN in
+    its own place only.
     """
-    norm = float(np.abs(a).sum(axis=0).max())
-    if not math.isfinite(norm):
-        return np.full_like(a, np.nan)
-    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    a = np.ldexp(a, -squarings)
+    shape = np.shape(a)
+    a = np.reshape(a, (-1, *shape[-2:]))
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        # exponentiated as zero matrices, then set to NaN
+        a = np.where(bad[:, np.newaxis, np.newaxis], 0.0, a)
+        norms[bad] = 0.0
+    squarings = np.array([_squarings(norm) for norm in norms.tolist()])
+    a = np.ldexp(a, -squarings[:, np.newaxis, np.newaxis])
     b = _PADE13
-    ident = np.eye(a.shape[0])
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -209,8 +227,77 @@ def expm(a: np.ndarray) -> np.ndarray:
     # a huge norm overflows to inf and NaN here; callers refuse the result
     # by its non-finite entries, so numpy's warnings would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            out = out @ out
+        for level in range(squarings.max()):
+            more = np.flatnonzero(squarings > level)
+            out[more] = out[more] @ out[more]
+    out[bad] = np.nan
+    return out.reshape(shape)
+
+
+@dataclass(frozen=True)
+class Propagators:
+    """Exact propagators of a stack of generators A_i on one time grid.
+
+    ``start[i]`` is expm(A_i t_start), or None when t_start = 0.
+    ``powers[j, i]`` is P_i^(2^j) for the grid step P_i = expm(A_i dt), one
+    level per doubling step of ``fill``.
+    """
+
+    start: np.ndarray | None
+    powers: np.ndarray
+
+
+def propagators(gens: np.ndarray, *grids: TimeGrid) -> list[Propagators]:
+    """The propagators of a stack of generators, shape (k, 7, 7), on each grid.
+
+    One ``expm`` call exponentiates every generator at every grid's step and
+    start time; each level of the powers is one matrix product on the stack.
+    """
+    times = []
+    for grid in grids:
+        times.append((grid.t_end - grid.t_start) / (grid.n_points - 1))
+        if grid.t_start > 0.0:
+            times.append(grid.t_start)
+    e = expm(gens[:, np.newaxis] * np.array(times)[:, np.newaxis, np.newaxis])
+    out = []
+    col = 0
+    for grid in grids:
+        powers = np.empty(((grid.n_points - 1).bit_length(), *gens.shape))
+        powers[0] = e[:, col]
+        for j in range(1, len(powers)):
+            np.matmul(powers[j - 1], powers[j - 1], out=powers[j])
+        start = None
+        if grid.t_start > 0.0:
+            col += 1
+            start = e[:, col]
+        col += 1
+        out.append(Propagators(start, powers))
+    return out
+
+
+def state_vector(c: CollectiveState) -> np.ndarray:
+    """y of ``generator``: ree, rss, raa, Re ras, Im ras, Re reg, Im reg."""
+    return np.array(
+        [c.ree, c.rss, c.raa, c.ras.real, c.ras.imag, c.reg.real, c.reg.imag],
+        dtype=float,
+    )
+
+
+def fill(y0: np.ndarray, props: Propagators, k: int, out: np.ndarray) -> np.ndarray:
+    """Trajectory k of a stack of propagators: ``out``, shape (7, n_points)
+    of their grid, receives y0 prepared at t = 0 and propagated over it.
+
+    Point 0 is expm(A t_start) y0.  The state at point j + m is P^m times
+    the state at point j, so the grid is filled by doubling, with
+    m = 1, 2, 4, ..., in log2(n_points) matrix products.
+    """
+    out[:, 0] = y0 if props.start is None else props.start[k] @ y0
+    n = out.shape[1]
+    filled = 1
+    for power in props.powers[:, k]:
+        m = min(filled, n - filled)
+        np.matmul(power, out[:, :m], out=out[:, filled : filled + m])
+        filled += m
     return out
 
 
@@ -219,34 +306,16 @@ def evolve_block_ode(
 ) -> np.ndarray:
     """Exact solution of the collective-basis equations on the grid; any detuning.
 
-    The state c0 is prepared at t = 0 and propagated to t_start by
-    expm(A t_start).  With P = expm(A dt) for the grid step dt, the state at
-    grid point k + m is P^m times the state at point k; the grid is filled
-    by doubling, with m = 1, 2, 4, ..., so the loop runs log2(n_points)
-    times.  Returns the trajectory as one C-contiguous float array of shape
-    (7, n_points) over ``grid.times()``: the rows are the components of y
-    in ``generator``, ree, rss, raa, Re ras, Im ras, Re reg, Im reg
+    The state c0 is prepared at t = 0 and propagated over the grid by
+    ``fill``.  Returns the trajectory as one C-contiguous float array of
+    shape (7, n_points) over ``grid.times()``: the rows are the components
+    of y in ``generator``, ree, rss, raa, Re ras, Im ras, Re reg, Im reg
     (rgg = 1 - ree - rss - raa).  ``out``, of that shape, receives them
     instead of a new array.
     """
-    a = generator(p)
-    y0 = np.array(
-        [c0.ree, c0.rss, c0.raa, c0.ras.real, c0.ras.imag, c0.reg.real, c0.reg.imag],
-        dtype=float,
-    )
-    if grid.t_start > 0.0:
-        y0 = expm(a * grid.t_start) @ y0
-    n = grid.n_points
-    power = expm(a * ((grid.t_end - grid.t_start) / (n - 1)))  # P^filled
-    ys = np.empty((7, n)) if out is None else out
-    ys[:, 0] = y0
-    filled = 1
-    while filled < n:
-        m = min(filled, n - filled)
-        np.matmul(power, ys[:, :m], out=ys[:, filled : filled + m])
-        filled += m
-        power = power @ power
-    return ys
+    (props,) = propagators(generator(p)[np.newaxis], grid)
+    ys = np.empty((7, grid.n_points)) if out is None else out
+    return fill(state_vector(c0), props, 0, ys)
 
 
 def _pair_operators():

@@ -86,24 +86,42 @@ def relation_negativity(report: EntanglementReport, b: BlockState) -> float:
     return np.maximum(0.0, np.maximum(n1, n2))
 
 
-def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """B with B B^dagger = m, by Cholesky with diagonal pivoting.
+
+    Entries that are exactly zero in m stay exactly zero in B. A diagonal
+    entry is taken as a pivot only while its Schur complement exceeds the
+    round-off it has accumulated (a few ulp of its value in m); below that
+    it is zero, so a rank-deficient m gives zero columns instead of noise.
+    """
+    a = np.array(m, dtype=complex)
+    b = np.zeros_like(a)
+    floor = 16.0 * np.finfo(float).eps * a.diagonal().real
+    for k in range(a.shape[0]):
+        d = np.where(a.diagonal().real > floor, a.diagonal().real, 0.0)
+        j = int(np.argmax(d))
+        if d[j] <= 0.0:
+            break
+        col = a[:, j] / np.sqrt(d[j])
+        b[:, k] = col
+        a -= np.outer(col, col.conj())
+        a[j, :] = 0.0
+        a[:, j] = 0.0
+    return b
 
 
 def wootters_generic(m: np.ndarray) -> float:
     """Concurrence of an arbitrary 4x4 state via the spin-flip construction.
 
-    The eigenvalues of rho * rho_tilde are obtained from the Hermitian
-    equivalent sqrt(rho) * rho_tilde * sqrt(rho).
+    With rho = B B^dagger and F the spin flip, rho * rho_tilde =
+    B (B^dagger F B^*) B^T F has the nonzero eigenvalues of Z^dagger Z,
+    Z = B^T F B, so their square roots are the singular values of Z. Taking
+    singular values avoids square roots of eigenvalues near zero, which
+    would turn round-off of order eps into errors of order sqrt(eps).
     """
-    m = np.asarray(m, dtype=complex)
-    rho_tilde = _FLIP @ m.conj() @ _FLIP
-    s = _sqrtm_psd(m)
-    lam = np.linalg.eigvalsh(s @ rho_tilde @ s)
-    roots = np.sqrt(np.clip(lam, 0.0, None))[::-1]  # descending
-    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    b = _psd_factor(np.asarray(m, dtype=complex))
+    roots = np.linalg.svd(b.T @ _FLIP @ b, compute_uv=False)  # descending
+    return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
 def partial_transpose_atom1(m: np.ndarray) -> np.ndarray:
@@ -122,14 +140,20 @@ def negativity_generic(m: np.ndarray) -> float:
     return max(0.0, -2.0 * float(mu[mu < 0.0].sum()))
 
 
+def _sum_sq_minus(a, b, x):
+    """(a + b)**2 - 4 x**2 as the product (a + b - 2|x|)(a + b + 2|x|); the
+    first factor is a difference of close numbers, which is exact."""
+    s, x2 = a + b, 2.0 * np.abs(x)
+    return (s - x2) * (s + x2)
+
+
 def concurrence_bell_form(p: BellState4) -> tuple[float, float]:
     """The two concurrence branches evaluated directly in the Bell basis."""
-    p12, p21 = p.p12, np.conj(p.p12)
-    p34, p43 = p.p34, np.conj(p.p34)
-    up_diff = ((p.p11 - p.p22) ** 2 - (p12 - p21) ** 2).real
-    up_sum = ((p.p11 + p.p22) ** 2 - (p12 + p21) ** 2).real
-    low_diff = ((p.p33 - p.p44) ** 2 - (p34 - p43) ** 2).real
-    low_sum = ((p.p33 + p.p44) ** 2 - (p34 + p43) ** 2).real
+    # with p21 = conj(p12): (p12 - p21)**2 = -4 Im(p12)**2, (p12 + p21)**2 = 4 Re(p12)**2
+    up_diff = (p.p11 - p.p22) ** 2 + 4.0 * p.p12.imag**2
+    up_sum = _sum_sq_minus(p.p11, p.p22, p.p12.real)
+    low_diff = (p.p33 - p.p44) ** 2 + 4.0 * p.p34.imag**2
+    low_sum = _sum_sq_minus(p.p33, p.p44, p.p34.real)
     c1 = _sqrt_clamped(up_diff) - _sqrt_clamped(low_sum)
     c2 = _sqrt_clamped(low_diff) - _sqrt_clamped(up_sum)
     return c1, c2

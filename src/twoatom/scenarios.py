@@ -16,7 +16,10 @@ from .dynamics import (
     AtomPairParams,
     InvariantError,
     TimeGrid,
-    evolve_block_ode,
+    fill,
+    generator,
+    propagators,
+    state_vector,
 )
 from .statespace import (
     TOL_PSD,
@@ -106,10 +109,10 @@ _OUTPUT_COLUMNS = {
 }
 
 
-# Rows of a record workspace (see ``record_from_state``): five contiguous
-# output columns, eleven temporaries and four rows that hold the interleaved
-# (n, 2) parts of r12 and of r34, whose second column is Im ras.
-WORK_ROWS = 20
+# Rows of a record workspace (see ``record_from_state``): four contiguous
+# output columns, eleven temporaries and two rows that hold the interleaved
+# (n, 2) parts of r12 and then of r34, whose second column is Im ras.
+WORK_ROWS = 17
 
 
 def record_from_state(
@@ -130,34 +133,38 @@ def record_from_state(
     ``work``, a C-contiguous float array of shape (WORK_ROWS, n), receives
     the output columns and the temporaries; the returned trajectory's
     columns are views of it and of ``ys``.  Without it, a new one is made.
+    The Re ras row of ``ys`` becomes the ``re_rho_as`` column in place: it
+    changes at most the sign of a zero, or becomes NaN where Im ras is not
+    finite.
     """
     n = ys.shape[1]
     if work is None:
         work = np.empty((WORK_ROWS, n))
-    ree, rss, raa, as_re, as_im, eg_re, eg_im = ys
-    rgg, re_as, conc, neg, s_sq, r33, r44, s1, s2, up, low, a12, a34, sq12, sq34, tmp = work[:16]
-    r12, r34 = work[16:20].reshape(2, n, 2)  # (Re, Im) per point, up to signs
-    im_as = r34[:, 1]
+    ree, rss, raa, re_as, as_im, eg_re, eg_im = ys
+    rgg, conc, neg, s_sq, r33, r44, s1, s2, up, low, a12, a34, sq12, sq34, tmp = work[:15]
+    r = work[15:17].reshape(n, 2)  # (Re, Im) of r12, then of r34, up to signs
+    im_as = r[:, 1]
     # inf - inf and inf * 0 at non-finite entries; a coherence near 1e300
     # overflows |r|**2 to inf, which still fails the positivity checks
     with np.errstate(invalid="ignore", over="ignore"):
-        # rho_gg, and Re/Im of ras as the complex as_re + 1j * as_im holds
-        # them: 0 * as_im and + 0.0 reproduce its signed zeros
+        # rho_gg, and Re ras as the complex as_re + 1j * as_im holds it:
+        # 0 * as_im reproduces its signed zeros
         np.subtract(1.0, ree, out=rgg)
         np.subtract(rgg, rss, out=rgg)
         np.subtract(rgg, raa, out=rgg)
-        np.add(as_re, np.multiply(as_im, 0.0, out=re_as), out=re_as)
-        np.add(as_im, 0.0, out=im_as)
+        np.add(re_as, np.multiply(as_im, 0.0, out=tmp), out=re_as)
         # the block state: r11 = rgg, r22 = ree, r33, r44, r12 = conj(reg),
         # r34 = (rss - raa) / 2 - 1j Im ras
         np.multiply(np.add(rss, raa, out=r33), 0.5, out=r33)
         np.add(r33, re_as, out=r44)
         np.subtract(r33, re_as, out=r33)
-        np.multiply(np.subtract(rss, raa, out=tmp), 0.5, out=r34[:, 0])
-        r12[:, 0], r12[:, 1] = eg_re, eg_im
         # |r| as np.abs of a complex view: hypot of the parts, signs aside
-        np.abs(r12.view(np.complex128)[:, 0], out=a12)
-        np.abs(r34.view(np.complex128)[:, 0], out=a34)
+        r[:, 0], r[:, 1] = eg_re, eg_im
+        np.abs(r.view(np.complex128)[:, 0], out=a12)
+        # Im ras as the complex holds it: + 0.0 reproduces its signed zeros
+        np.multiply(np.subtract(rss, raa, out=tmp), 0.5, out=r[:, 0])
+        np.add(as_im, 0.0, out=im_as)
+        np.abs(r.view(np.complex128)[:, 0], out=a34)
         np.add(rgg, ree, out=s2)
         np.add(r33, r44, out=s1)
         trace = np.add(np.add(s2, r33, out=tmp), r44, out=tmp)
@@ -167,7 +174,7 @@ def record_from_state(
         np.multiply(r33, r44, out=low)
         # a sum is finite only when every term is: the real and the imaginary
         # part of trace + r12 + r34
-        finite = np.isfinite(np.add(np.add(trace, eg_re, out=conc), r34[:, 0], out=conc))
+        finite = np.isfinite(np.add(np.add(trace, eg_re, out=conc), r[:, 0], out=conc))
         finite &= np.isfinite(np.add(eg_im, im_as, out=conc))
         problem = first_violation(finite, trace, (rgg, ree, r33, r44), ((sq12, up), (sq34, low)))
     if not problem:
@@ -207,24 +214,26 @@ def record_from_state(
 
 
 def workspace(grid: TimeGrid) -> np.ndarray:
-    """Room for one trajectory on the grid: the 7 state rows, then the
-    WORK_ROWS rows of ``record_from_state``."""
+    """Room for one trajectory on the grid, 24 float rows: the 7 state rows
+    (the record turns Re ras into the ``re_rho_as`` column in place), then
+    the WORK_ROWS = 17 rows of ``record_from_state``."""
     return np.empty((7 + WORK_ROWS, grid.n_points))
 
 
 def run_scenario(s: Scenario, work: np.ndarray | None = None) -> Trajectory:
     """Propagate the scenario's initial state over its grid.
 
-    ``work``, a ``workspace`` of the scenario's grid, lets a caller that
-    runs many scenarios on one grid reuse its memory; the trajectory's
-    columns are then views of it, overwritten by the next call.  Without it
-    the trajectory owns its arrays.
+    The propagation is ``dynamics.evolve_block_ode``'s: ``propagators`` of
+    the one generator, then ``fill``.  ``work``, a ``workspace`` of the
+    scenario's grid, lets a caller that runs many scenarios on one grid
+    reuse its memory; the trajectory's columns are then views of it,
+    overwritten by the next call.  Without it the trajectory owns its arrays.
     """
     if work is None:
         work = workspace(s.grid)
-    c0 = to_collective(s.initial_block())
-    ys = evolve_block_ode(c0, s.params(), s.grid, out=work[:7])
-    return record_from_state(s.grid.times(), ys, work[7:])
+    y0 = state_vector(to_collective(s.initial_block()))
+    (props,) = propagators(generator(s.params())[np.newaxis], s.grid)
+    return record_from_state(s.grid.times(), fill(y0, props, 0, work[:7]), work[7:])
 
 
 def scenario_columns(s: Scenario) -> tuple[str, ...]:
@@ -258,36 +267,69 @@ def _first_maximum(t: np.ndarray, c: np.ndarray) -> tuple[float, float]:
     return float(c[k]), float(t[k])
 
 
+# axis values propagated as one stack: bounds the propagators held at once
+_SWEEP_STACK = 64
+
+
 def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
     """One summary row per axis value.
+
+    No axis changes the initial state or the grid, so the sweep checks and
+    converts the initial state, builds the output times and allocates one
+    workspace once.  It builds the generator of each value and exponentiates
+    those of up to _SWEEP_STACK values in one ``dynamics.propagators`` call;
+    each value then only fills its trajectory into the workspace, and its
+    summary is read before the next value overwrites it.
 
     ``c_at_t5`` is the concurrence at t = 5: interpolated on the scenario's
     grid when the grid spans t = 5, propagated exactly to t = 5 otherwise.
     A value that is invalid or gives an unphysical trajectory is reported in
-    its row's ``error``; any other exception propagates.
+    its row's ``error``, and an invalid initial state in every row; any
+    other exception propagates.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    # no axis changes the grid: every row reuses one workspace, and its
-    # summary is read before the next row overwrites it
+    values = [float(v) for v in values]
+    try:
+        y0 = state_vector(to_collective(base.initial_block()))
+    except ValueError as exc:
+        return [SweepRow(v, math.nan, math.nan, math.nan, str(exc)) for v in values]
+    t = base.grid.times()
     work = workspace(base.grid)
+    # a grid that misses t = 5: C(5) ends a trajectory on a grid of its own
+    grid5 = None if t[0] <= 5.0 <= t[-1] else TimeGrid(0.0, 5.0, 2)
+    grids = [base.grid]
+    if grid5 is not None:
+        grids.append(grid5)
+        t5, work5 = grid5.times(), workspace(grid5)
     rows = []
-    for v in values:
-        s = replace(base, **{axis: float(v)})
-        try:
-            traj = run_scenario(s, work)
+    for first in range(0, len(values), _SWEEP_STACK):
+        chunk = values[first : first + _SWEEP_STACK]
+        # an invalid value keeps a NaN generator in its place of the stack
+        gens = np.full((len(chunk), 7, 7), np.nan)
+        errors: list[str | None] = [None] * len(chunk)
+        for k, v in enumerate(chunk):
+            try:
+                gens[k] = generator(replace(base, **{axis: v}).params())
+            except ValueError as exc:
+                errors[k] = str(exc)
+        props = propagators(gens, *grids)
+        for k, v in enumerate(chunk):
+            error = errors[k]
+            if error is None:
+                try:
+                    traj = at5 = record_from_state(t, fill(y0, props[0], k, work[:7]), work[7:])
+                    if grid5 is not None:
+                        at5 = record_from_state(t5, fill(y0, props[1], k, work5[:7]), work5[7:])
+                except InvariantError as exc:
+                    error = str(exc)
+            if error is not None:
+                rows.append(SweepRow(v, math.nan, math.nan, math.nan, error))
+                continue
+            cmax, tmax = _first_maximum(t, traj.concurrence)
             # bench/reference.py interpolates C(5) on the grid in the same way
-            at5 = traj
-            if not traj.t[0] <= 5.0 <= traj.t[-1]:
-                at5 = run_scenario(replace(s, grid=TimeGrid(0.0, 5.0, 2)))
-        except (ValueError, InvariantError) as exc:
-            rows.append(
-                SweepRow(float(v), float("nan"), float("nan"), float("nan"), str(exc))
-            )
-            continue
-        cmax, tmax = _first_maximum(traj.t, traj.concurrence)
-        c5 = float(np.interp(5.0, at5.t, at5.concurrence))
-        rows.append(SweepRow(float(v), cmax, tmax, c5))
+            c5 = float(np.interp(5.0, at5.t, at5.concurrence))
+            rows.append(SweepRow(v, cmax, tmax, c5))
     return rows
 
 

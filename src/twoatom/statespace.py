@@ -48,7 +48,8 @@ class BlockState:
 
 @dataclass(frozen=True)
 class BellState4:
-    """Same block layout, expressed in the Bell basis."""
+    """Same block layout, expressed in the Bell basis (``to_bell`` fills it
+    with np.longdouble entries)."""
 
     p11: float = 0.0
     p22: float = 0.0
@@ -140,15 +141,28 @@ def bell_to_matrix(p: BellState4) -> np.ndarray:
 
 def to_bell(b: BlockState) -> BellState4:
     """Conjugate the state by the Bell transformation."""
-    mp = U_BELL @ block_to_matrix(b) @ U_BELL.conj().T
-    return BellState4(
-        p11=mp[0, 0].real,
-        p22=mp[1, 1].real,
-        p33=mp[2, 2].real,
-        p44=mp[3, 3].real,
-        p12=complex(mp[0, 1]),
-        p34=complex(mp[2, 3]),
-    )
+    p11, p22, p12 = _bell_block(b.r11, b.r22, complex(b.r12))
+    p33, p44, p34 = _bell_block(b.r33, b.r44, complex(b.r34))
+    return BellState4(p11=p11, p22=p22, p33=p33, p44=p44, p12=p12, p34=p34)
+
+
+def _bell_block(ra: float, rb: float, coh: complex):
+    """Bell-basis entries of one 2x2 block: (ra + rb)/2 +- Re coh on the
+    diagonal, (rb - ra)/2 + i Im coh off it.
+
+    They are held in np.longdouble: where one population is below the ulp
+    of the block's trace in double precision, (ra + rb) and (rb - ra) would
+    round it away, and the concurrence, which holds its square root, would
+    lose about sqrt(ulp) ~ 1e-8. The smaller diagonal entry is the trace
+    minus the larger one, which is exact, so the pair keeps the trace.
+    (Where np.longdouble is plain double, the guard is lost.)
+    """
+    ra, rb = np.longdouble(ra), np.longdouble(rb)
+    total = ra + rb
+    big = total / 2 + abs(np.longdouble(coh.real))
+    small = total - big
+    plus, minus = (big, small) if coh.real >= 0.0 else (small, big)
+    return plus, minus, np.clongdouble((rb - ra) / 2) + np.clongdouble(1j) * coh.imag
 
 
 def from_bell(p: BellState4) -> BlockState:

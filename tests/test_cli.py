@@ -143,16 +143,17 @@ class TestRunScenario:
         assert exact.concurrence[0] == pytest.approx(0.405, abs=1e-3)
 
     def test_unphysical_trajectory_is_refused(self, monkeypatch, tmp_path):
-        def unphysical(c0, p, grid, out=None):
+        def unphysical(y0, props, k, out):
             # rows ree, rss, raa, Re ras, Im ras, Re reg, Im reg: rgg = 0,
             # rss = raa = 0.5, and |ras| = 0.9 puts a negative population in
             # the one-excitation block
-            ys = np.zeros((7, grid.n_points))
+            ys = np.zeros((7, out.shape[1]))
             ys[1:3] = 0.5
             ys[3] = 0.9
             return ys
 
-        monkeypatch.setattr(scenarios, "evolve_block_ode", unphysical)
+        # the propagation that run_scenario and sweep share
+        monkeypatch.setattr(scenarios, "fill", unphysical)
         with pytest.raises(twoatom.InvariantError):
             run_scenario(Scenario(grid=TimeGrid(0.0, 1.0, 10)))
         out = tmp_path / "bad.csv"
@@ -202,10 +203,10 @@ class TestSweep:
         assert rows[1].error == ""
 
     def test_program_errors_are_not_captured(self, monkeypatch):
-        def broken(c0, p, grid, out=None):
+        def broken(y0, props, k, out):
             raise ZeroDivisionError("a bug, not a bad input")
 
-        monkeypatch.setattr(scenarios, "evolve_block_ode", broken)
+        monkeypatch.setattr(scenarios, "fill", broken)
         with pytest.raises(ZeroDivisionError):
             sweep(Scenario(grid=TimeGrid(0.0, 1.0, 10)), "x", [1.0])
 

@@ -11,6 +11,7 @@ from twoatom.dynamics import (
     AtomPairParams,
     DickeSingularityError,
     TimeGrid,
+    _squarings,
     evolve_analytic,
     evolve_block_ode,
     evolve_full_master,
@@ -104,6 +105,30 @@ class TestExpm:
 
     def test_non_finite_matrix_gives_nan(self):
         assert np.all(np.isnan(expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))))
+
+    def test_each_matrix_of_a_stack_has_the_bits_of_its_own_call(self):
+        rng = np.random.default_rng(11)
+        mats = [scale * rng.normal(size=(7, 7)) for scale in (1e-3, 0.5, 3.0, 40.0, 1e4)]
+        for g12 in (1.0, -1.0):  # the generator at both Dicke points
+            a = generator(AtomPairParams(gamma=1.0, gamma12=g12, omega12=4.65, delta=3.0))
+            mats += [a * 1e-3, a * 40.0]
+        stack = np.stack(mats)
+        squarings = [_squarings(norm) for norm in np.abs(stack).sum(axis=1).max(axis=1)]
+        assert min(squarings) == 0
+        assert any(1 <= k <= 4 for k in squarings)
+        assert max(squarings) >= 10
+        for out in (expm(stack), expm(stack.reshape(3, 3, 7, 7)).reshape(9, 7, 7)):
+            for a, got in zip(mats, out):
+                np.testing.assert_array_equal(got.view(np.uint64), expm(a).view(np.uint64))
+
+    def test_non_finite_matrix_in_a_stack_gives_nan_in_its_place_only(self):
+        a = generator(PARAMS)
+        stack = np.stack([a, a * 40.0, a, a * 1e-3])
+        stack[2, 3, 4] = np.inf
+        out = expm(stack)
+        assert np.all(np.isnan(out[2]))
+        for k in (0, 1, 3):
+            np.testing.assert_array_equal(out[k].view(np.uint64), expm(stack[k]).view(np.uint64))
 
 
 class TestEvolveBlockOde:

@@ -118,10 +118,9 @@ class TestGenericOracles:
     @settings(max_examples=300)
     @given(block_states())
     def test_closed_forms_match_oracles(self, b):
-        # near rank-deficient states the spin-flip eigenvalues carry a
-        # sqrt(eps) floor (eigensolver noise under the square root), so the
-        # adversarial property is bounded at 1e-8; well-conditioned states
-        # agree far tighter (see the acceptance suite)
+        # the oracle takes the spin-flip roots as singular values, so no
+        # square root of eigensolver noise enters even for rank-deficient
+        # states; they agree to about 1e-14
         m = block_to_matrix(b)
         rep = block_report(b)
         assert rep.concurrence == pytest.approx(wootters_generic(m), abs=1e-8)
@@ -167,9 +166,9 @@ class TestBellBasisForms:
     @settings(max_examples=200)
     @given(block_states())
     def test_matches_block_branches(self, b):
-        # the Bell-basis form subtracts squared quantities, which cancels
-        # catastrophically for nearly pure states; allow the resulting loss
-        # of a couple of digits
+        # a population far below the ulp of its block's trace survives in
+        # to_bell's extended-precision entries; where np.longdouble is plain
+        # double it is rounded away and a branch can be off by ~1e-8
         rep = block_report(b)
         c1, c2 = concurrence_bell_form(to_bell(b))
         assert c1 == pytest.approx(rep.c1, abs=1e-9)

@@ -165,7 +165,8 @@ def test_broken_rows_are_refused_like_the_oracle(what, column, monkeypatch):
     with pytest.raises(InvariantError, match=f": {what} at index 4$"):
         record_from_state(np.linspace(0.0, 1.0, N_POINTS), ys)
 
-    monkeypatch.setattr(scenarios, "evolve_block_ode", lambda c0, p, grid, out=None: ys)
+    # the propagation that run_scenario and sweep share
+    monkeypatch.setattr(scenarios, "fill", lambda y0, props, k, out: ys)
     with pytest.raises(InvariantError, match=f": {what} at index 4$"):
         run_scenario(Scenario(grid=TimeGrid(0.0, 1.0, N_POINTS)))
     (row,) = sweep(Scenario(grid=TimeGrid(0.0, 1.0, N_POINTS)), "x", [1.0])
@@ -197,26 +198,83 @@ def test_valid_rows_keep_the_oracles_signed_zeros(column):
 # the sweep's shared workspace
 
 
-def test_sweep_rows_do_not_alias_the_workspace():
-    # a good row, an error row, two more good rows; the grid ends before t = 5,
-    # so every good row also propagates C(5) on a grid of its own
-    base = Scenario(grid=TimeGrid(0.0, 4.0, 801))
-    values = [0.3, 1.5, -0.6, 0.9]
-    rows = sweep(base, "gamma12", values)
-    assert [r.value for r in rows] == values
-    for v, row in zip(values, rows):
-        s = replace(base, gamma12=v)
-        if v == 1.5:
-            with pytest.raises(ValueError) as exc:
-                run_scenario(s)
-            assert row.error == str(exc.value)
-            assert all(math.isnan(x) for x in (row.first_max_c, row.t_first_max, row.c_at_t5))
-            continue
+def _row_bits(value, first_max_c, t_first_max, c_at_t5, error):
+    return (value.hex(), first_max_c.hex(), t_first_max.hex(), c_at_t5.hex(), error)
+
+
+def _fresh_row(s: Scenario, value: float) -> tuple:
+    """A sweep row's fields from fresh ``run_scenario`` calls."""
+    try:
         traj = run_scenario(s)
-        cmax, tmax = scenarios._first_maximum(traj.t, traj.concurrence)
-        c5 = run_scenario(replace(s, grid=TimeGrid(0.0, 5.0, 2))).concurrence[1]
-        assert (row.first_max_c, row.t_first_max, row.c_at_t5, row.error) == (cmax, tmax, c5, "")
-    assert len({r.first_max_c for r in rows if not r.error}) == 3
+        at5 = traj
+        if not traj.t[0] <= 5.0 <= traj.t[-1]:
+            at5 = run_scenario(replace(s, grid=TimeGrid(0.0, 5.0, 2)))
+    except (ValueError, InvariantError) as exc:
+        return _row_bits(value, math.nan, math.nan, math.nan, str(exc))
+    cmax, tmax = scenarios._first_maximum(traj.t, traj.concurrence)
+    return _row_bits(value, cmax, tmax, float(np.interp(5.0, at5.t, at5.concurrence)), "")
+
+
+# more values than one stack: invalid detunings (inf, nan) and one that
+# overflows the propagator (1e200) among them
+_MANY = [
+    math.inf if k % 17 == 3 else math.nan if k % 23 == 9 else 1e200 if k == 40 else 0.3 * k
+    for k in range(scenarios._SWEEP_STACK + 10)
+]
+
+
+@pytest.mark.parametrize(
+    "base,axis,values",
+    [
+        # a good row, an error row, two more good rows; the grid ends before
+        # t = 5, so every good row also propagates C(5) on a grid of its own
+        (Scenario(grid=TimeGrid(0.0, 4.0, 801)), "gamma12", [0.3, 1.5, -0.6, 0.9]),
+        (Scenario(grid=TimeGrid(0.5, 6.0, 700)), "delta", [0.0, 3.0, 1e200, 7.5]),
+        (Scenario(grid=TimeGrid(5.5, 9.0, 351)), "mu_dot_r", [0.0, 0.5, 1.5, -0.9]),
+        (Scenario(grid=TimeGrid(0.7, 4.0, 333)), "x", [-1.0, 0.3, 1.2, 100.0]),
+        (Scenario(grid=TimeGrid(0.0, 6.0, 3000)), "delta", _MANY),
+        # an invalid initial state is every row's error, ahead of the value's
+        (
+            Scenario(initial="custom", custom_state=BlockState(r11=1.5, r22=-0.5),
+                     grid=TimeGrid(0.0, 4.0, 50)),
+            "gamma12",
+            [0.5, 1.5, -0.2],
+        ),
+        (Scenario(initial="nosuchstate", grid=TimeGrid(0.0, 3.0, 50)), "x", [-1.0, 0.5]),
+    ],
+    ids=["t_end_below_5", "t_start_above_0", "t_start_above_5", "t_start_above_0_t_end_below_5",
+         "stacks", "invalid_state", "unknown_state"],
+)
+def test_sweep_rows_do_not_alias_the_workspace(base, axis, values, monkeypatch):
+    calls = {"initial_block": 0, "to_collective": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(Scenario, "initial_block", counted("initial_block", Scenario.initial_block))
+        m.setattr(scenarios, "to_collective", counted("to_collective", to_collective))
+        rows = sweep(base, axis, values)
+    try:
+        base.initial_block()
+        converted = 1
+    except ValueError:
+        converted = 0
+    # the initial state is checked and converted once per sweep
+    assert calls == {"initial_block": 1, "to_collective": converted}
+    assert len(rows) == len(values)
+    for v, row in zip(values, rows):
+        want = _fresh_row(replace(base, **{axis: v}), v)
+        assert _row_bits(row.value, row.first_max_c, row.t_first_max, row.c_at_t5, row.error) == want
+    good = [r.first_max_c for r in rows if not r.error]
+    assert len(set(good)) == len(good)
+    if values is _MANY:
+        assert any(r.error.startswith("unphysical trajectory") for r in rows)
+        assert any(r.error.endswith("must be finite, got inf") for r in rows)
 
 
 def test_sweep_allocates_one_workspace(monkeypatch):
