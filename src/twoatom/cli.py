@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .couplings import Geometry, GeometryError, rates_from_geometry
 from .dynamics import DickeSingularityError, InvariantError, TimeGrid
@@ -86,7 +85,7 @@ def _scenario_from_args(args) -> Scenario:
         overrides["delta"] = args.delta
     if getattr(args, "points", None) is not None:
         overrides["grid"] = TimeGrid(s.grid.t_start, s.grid.t_end, args.points)
-    return replace(s, **overrides) if overrides else s
+    return s._replace(**overrides) if overrides else s
 
 
 def _cmd_couplings(args) -> int:

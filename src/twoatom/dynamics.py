@@ -27,7 +27,7 @@ the output times (see ``TimeGrid``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,55 +56,82 @@ def _require_finite(owner: str, **values: float) -> None:
             raise ValueError(f"{owner}: {name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class AtomPairParams:
-    """Rates and frequencies of the pair; all in units of gamma (time 1/gamma)."""
-
+class _AtomPairParams(NamedTuple):
     gamma: float = 1.0
     gamma12: float = 0.0
     omega12: float = 0.0
     delta: float = 0.0  # half the transition-frequency difference
     omega0: float = 0.0  # mean frequency; 0 = rotating frame
 
-    def __post_init__(self):
+
+class AtomPairParams(_AtomPairParams):
+    """Rates and frequencies of the pair; all in units of gamma (time 1/gamma).
+
+    Checked on construction and by ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        gamma: float = 1.0,
+        gamma12: float = 0.0,
+        omega12: float = 0.0,
+        delta: float = 0.0,
+        omega0: float = 0.0,
+    ):
         _require_finite(
             "AtomPairParams",
-            gamma=self.gamma,
-            gamma12=self.gamma12,
-            omega12=self.omega12,
-            delta=self.delta,
-            omega0=self.omega0,
+            gamma=gamma,
+            gamma12=gamma12,
+            omega12=omega12,
+            delta=delta,
+            omega0=omega0,
         )
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if abs(self.gamma12) > self.gamma * (1.0 + 1e-12):
-            raise ValueError(f"|gamma12| must not exceed gamma, got {self.gamma12}")
+        if not gamma > 0.0:
+            raise ValueError(f"gamma must be > 0, got {gamma}")
+        if abs(gamma12) > gamma * (1.0 + 1e-12):
+            raise ValueError(f"|gamma12| must not exceed gamma, got {gamma12}")
+        return super().__new__(cls, gamma, gamma12, omega12, delta, omega0)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple's own _make skips __new__; _replace goes through it
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class _TimeGrid(NamedTuple):
+    t_start: float
+    t_end: float
+    n_points: int
+
+
+class TimeGrid(_TimeGrid):
     """Uniform output times in units of 1/gamma.
 
     The initial state is always prepared at t = 0.  The grid only selects
     the output times t_start .. t_end: with t_start > 0 the trajectory is
     evolved through [0, t_start] and its first row is the state at t_start.
-    At most MAX_POINTS points.
+    At most MAX_POINTS points.  Checked on construction and by ``_replace``.
     """
 
-    t_start: float
-    t_end: float
-    n_points: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite("TimeGrid", t_start=self.t_start, t_end=self.t_end)
-        if self.t_start < 0.0:
-            raise ValueError(f"t_start must be >= 0, got {self.t_start}")
-        if not self.t_end > self.t_start:
+    def __new__(cls, t_start: float, t_end: float, n_points: int):
+        _require_finite("TimeGrid", t_start=t_start, t_end=t_end)
+        if t_start < 0.0:
+            raise ValueError(f"t_start must be >= 0, got {t_start}")
+        if not t_end > t_start:
             raise ValueError("t_end must exceed t_start")
-        if not 2 <= self.n_points <= MAX_POINTS:
+        if not 2 <= n_points <= MAX_POINTS:
             raise ValueError(
-                f"n_points must be between 2 and {MAX_POINTS}, got {self.n_points}"
+                f"n_points must be between 2 and {MAX_POINTS}, got {n_points}"
             )
+        return super().__new__(cls, t_start, t_end, n_points)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_points)
@@ -234,8 +261,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-@dataclass(frozen=True)
-class Propagators:
+class Propagators(NamedTuple):
     """Exact propagators of a stack of generators A_i on one time grid.
 
     ``start[i]`` is expm(A_i t_start), or None when t_start = 0.

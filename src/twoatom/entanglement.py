@@ -6,7 +6,7 @@ eigenvalues, partial transpose) are kept as independent oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ _BITS = ((0, 0), (1, 1), (0, 1), (1, 0))
 _INDEX = {bits: k for k, bits in enumerate(_BITS)}
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(NamedTuple):
     """Both measures plus the two alternative branches they are built from.
 
     Scalars for one state, arrays for a trajectory.

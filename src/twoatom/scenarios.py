@@ -7,7 +7,7 @@ flat ``key = value`` text format with ``#`` comments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,10 @@ INITIAL_STATES = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
+    """One run's inputs; a named tuple, so ``s._replace(delta=1.0)`` makes a
+    changed copy."""
+
     initial: str = "atom1_excited"
     custom_state: BlockState | None = None
     x: float = math.pi / 6
@@ -56,7 +58,7 @@ class Scenario:
     gamma12: float | None = None  # explicit overrides win over the geometry
     omega12: float | None = None
     delta: float = 0.0
-    grid: TimeGrid = field(default_factory=lambda: TimeGrid(0.0, 3.0, 3000))
+    grid: TimeGrid = TimeGrid(0.0, 3.0, 3000)
     outputs: tuple[str, ...] = ALL_OUTPUTS
 
     def initial_block(self) -> BlockState:
@@ -84,8 +86,7 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Output columns of one scenario, each an array over its time grid."""
 
     t: np.ndarray
@@ -113,6 +114,8 @@ _OUTPUT_COLUMNS = {
 # output columns, eleven temporaries and two rows that hold the interleaved
 # (n, 2) parts of r12 and then of r34, whose second column is Im ras.
 WORK_ROWS = 17
+# the record's last temporary row, free once the record is made
+_FREE_ROW = 14
 
 
 def record_from_state(
@@ -213,6 +216,38 @@ def record_from_state(
     )
 
 
+def excitation_bounds(y0: np.ndarray, gamma: float, t: np.ndarray) -> tuple[np.ndarray, float]:
+    """Bounds on ree - rgg = n - 1 at the times t, each widened by TOL_PSD,
+    for the trajectory from the state vector y0 at t = 0.
+
+    The excitation number n = 2 ree + rss + raa = 1 + ree - rgg obeys
+    dn/dt = -gamma n - gamma12 (rss - raa), which lies in [-2 gamma n, 0]
+    for any rates and detuning while the populations are positive, so
+    n(0) exp(-2 gamma t) <= n(t) <= n(0).  The trace check cannot see a
+    population lost to the ground state, since rgg completes the trace;
+    these bounds can.
+    """
+    n0 = 2.0 * y0[0] + y0[1] + y0[2]
+    return n0 * np.exp(-2.0 * gamma * t) - (1.0 + TOL_PSD), n0 - 1.0 + TOL_PSD
+
+
+def check_excitation(traj: Trajectory, bounds, scratch: np.ndarray) -> None:
+    """Raise InvariantError, naming the first offending index, unless the
+    trajectory's excitation number stays within ``excitation_bounds``.
+
+    ``scratch`` is a float row of the trajectory's length.
+    """
+    low, high = bounds
+    m = np.subtract(traj.rho_ee, traj.rho_gg, out=scratch)
+    if m.max() > high or np.subtract(m, low, out=m).min() < 0.0:
+        m = np.subtract(traj.rho_ee, traj.rho_gg, out=scratch)
+        bad = (m < low) | (m > high)
+        problem = at_index("excitation number outside [n(0) exp(-2 gamma t), n(0)]", bad)
+        raise InvariantError(
+            f"unphysical trajectory between t = {traj.t[0]:g} and t = {traj.t[-1]:g}: {problem}"
+        )
+
+
 def workspace(grid: TimeGrid) -> np.ndarray:
     """Room for one trajectory on the grid, 24 float rows: the 7 state rows
     (the record turns Re ras into the ``re_rho_as`` column in place), then
@@ -224,7 +259,9 @@ def run_scenario(s: Scenario, work: np.ndarray | None = None) -> Trajectory:
     """Propagate the scenario's initial state over its grid.
 
     The propagation is ``dynamics.evolve_block_ode``'s: ``propagators`` of
-    the one generator, then ``fill``.  ``work``, a ``workspace`` of the
+    the one generator, then ``fill``.  Raises InvariantError unless the
+    trajectory passes the checks of ``record_from_state`` and then those of
+    ``check_excitation``.  ``work``, a ``workspace`` of the
     scenario's grid, lets a caller that runs many scenarios on one grid
     reuse its memory; the trajectory's columns are then views of it,
     overwritten by the next call.  Without it the trajectory owns its arrays.
@@ -233,7 +270,10 @@ def run_scenario(s: Scenario, work: np.ndarray | None = None) -> Trajectory:
         work = workspace(s.grid)
     y0 = state_vector(to_collective(s.initial_block()))
     (props,) = propagators(generator(s.params())[np.newaxis], s.grid)
-    return record_from_state(s.grid.times(), fill(y0, props, 0, work[:7]), work[7:])
+    t = s.grid.times()
+    traj = record_from_state(t, fill(y0, props, 0, work[:7]), work[7:])
+    check_excitation(traj, excitation_bounds(y0, s.gamma, t), work[7 + _FREE_ROW])
+    return traj
 
 
 def scenario_columns(s: Scenario) -> tuple[str, ...]:
@@ -249,8 +289,7 @@ def scenario_columns(s: Scenario) -> tuple[str, ...]:
 SWEEP_AXES = ("x", "mu_dot_r", "delta", "gamma12", "omega12")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     value: float
     first_max_c: float
     t_first_max: float
@@ -283,8 +322,9 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
 
     ``c_at_t5`` is the concurrence at t = 5: interpolated on the scenario's
     grid when the grid spans t = 5, propagated exactly to t = 5 otherwise.
-    A value that is invalid or gives an unphysical trajectory is reported in
-    its row's ``error``, and an invalid initial state in every row; any
+    A value that is invalid or gives an unphysical trajectory (by the checks
+    of ``run_scenario``; the excitation bounds are computed once) is reported
+    in its row's ``error``, and an invalid initial state in every row; any
     other exception propagates.
     """
     if axis not in SWEEP_AXES:
@@ -296,12 +336,14 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
         return [SweepRow(v, math.nan, math.nan, math.nan, str(exc)) for v in values]
     t = base.grid.times()
     work = workspace(base.grid)
+    bounds = excitation_bounds(y0, base.gamma, t)
     # a grid that misses t = 5: C(5) ends a trajectory on a grid of its own
     grid5 = None if t[0] <= 5.0 <= t[-1] else TimeGrid(0.0, 5.0, 2)
     grids = [base.grid]
     if grid5 is not None:
         grids.append(grid5)
         t5, work5 = grid5.times(), workspace(grid5)
+        bounds5 = excitation_bounds(y0, base.gamma, t5)
     rows = []
     for first in range(0, len(values), _SWEEP_STACK):
         chunk = values[first : first + _SWEEP_STACK]
@@ -310,7 +352,7 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
         errors: list[str | None] = [None] * len(chunk)
         for k, v in enumerate(chunk):
             try:
-                gens[k] = generator(replace(base, **{axis: v}).params())
+                gens[k] = generator(base._replace(**{axis: v}).params())
             except ValueError as exc:
                 errors[k] = str(exc)
         props = propagators(gens, *grids)
@@ -319,8 +361,10 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
             if error is None:
                 try:
                     traj = at5 = record_from_state(t, fill(y0, props[0], k, work[:7]), work[7:])
+                    check_excitation(traj, bounds, work[7 + _FREE_ROW])
                     if grid5 is not None:
                         at5 = record_from_state(t5, fill(y0, props[1], k, work5[:7]), work5[7:])
+                        check_excitation(at5, bounds5, work5[7 + _FREE_ROW])
                 except InvariantError as exc:
                     error = str(exc)
             if error is not None:
@@ -379,7 +423,7 @@ def figure_rows(name: str, points: int | None = None) -> dict[str, np.ndarray]:
         raise ValueError(f"unknown figure {name!r}; expected {sorted(FIGURE_SCENARIOS)}")
     s = FIGURE_SCENARIOS[name]
     if points is not None:
-        s = replace(s, grid=TimeGrid(s.grid.t_start, s.grid.t_end, points))
+        s = s._replace(grid=TimeGrid(s.grid.t_start, s.grid.t_end, points))
     traj = run_scenario(s)
     values = {
         "t": traj.t,

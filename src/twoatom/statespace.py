@@ -11,7 +11,7 @@ Three coordinate systems are used:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ U_BELL = _SQ2 * np.array(
 )
 
 
-@dataclass(frozen=True)
-class BlockState:
+class BlockState(NamedTuple):
     """Independent entries of the block-diagonal density matrix."""
 
     r11: float = 0.0
@@ -46,8 +45,7 @@ class BlockState:
     r34: complex = 0j
 
 
-@dataclass(frozen=True)
-class BellState4:
+class BellState4(NamedTuple):
     """Same block layout, expressed in the Bell basis (``to_bell`` fills it
     with np.longdouble entries)."""
 
@@ -59,8 +57,7 @@ class BellState4:
     p34: complex = 0j
 
 
-@dataclass(frozen=True)
-class CollectiveState:
+class CollectiveState(NamedTuple):
     """Populations and coherences in the collective basis.
 
     The fields are scalars for one state, or equal-length arrays for a
@@ -75,8 +72,7 @@ class CollectiveState:
     ras: complex = 0j
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """Validity report for a 4x4 density matrix."""
 
     hermiticity_residual: float

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -54,7 +52,7 @@ def collective(ys) -> CollectiveState:
 
 def state_at(c: CollectiveState, k: int) -> CollectiveState:
     """Point k of a trajectory whose fields are arrays."""
-    return CollectiveState(**{f.name: getattr(c, f.name)[k] for f in fields(c)})
+    return CollectiveState(**{name: getattr(c, name)[k] for name in c._fields})
 
 
 def as_block_state(pops, r12, r34) -> BlockState:

@@ -162,6 +162,65 @@ class TestRunScenario:
         (row,) = sweep(Scenario(grid=TimeGrid(0.0, 1.0, 10)), "x", [1.0])
         assert "unphysical" in row.error
 
+    @pytest.mark.parametrize("index", [1000, 500], ids=["below_the_decay_floor", "above_the_start"])
+    def test_excitation_number_stays_within_its_bounds(self, monkeypatch, index):
+        # a physical state at every point, with rgg completing the trace:
+        # only n(0) exp(-2 gamma t) <= n(t) <= n(0) is broken
+        fill = scenarios.fill
+
+        def leaky(y0, props, k, out):
+            ys = fill(y0, props, k, out)
+            if index == 1000:
+                ys[1:5, index:] *= 0.01  # the one-excitation block shrinks into rgg
+            else:
+                ys[0, index:] += 0.3  # ree is fed from rgg
+            return ys
+
+        monkeypatch.setattr(scenarios, "fill", leaky)
+        with pytest.raises(twoatom.InvariantError, match=f"excitation number .* at index {index}$"):
+            run_scenario(Scenario())
+        (row,) = sweep(Scenario(), "delta", [0.0])
+        assert row.error.endswith(f"at index {index}")
+
+    def test_excitation_number_is_checked_on_the_c5_grid(self, monkeypatch):
+        # the grid ends before t = 5, so C(5) comes from a 2-point trajectory
+        # of its own; it loses the whole excitation by t = 5
+        fill = scenarios.fill
+
+        def leaky(y0, props, k, out):
+            ys = fill(y0, props, k, out)
+            if ys.shape[1] == 2:
+                ys[1:5, 1] = 0.0
+            return ys
+
+        monkeypatch.setattr(scenarios, "fill", leaky)
+        (row,) = sweep(Scenario(), "delta", [0.0])
+        assert row.error.startswith("unphysical trajectory between t = 0 and t = 5: excitation")
+        assert row.error.endswith("at index 1")
+
+    def test_population_lost_by_the_propagator_is_refused(self, tmp_path):
+        # expm at this detuning passes every other invariant on this grid
+        # while rho_ss = rho_aa = 0 from t = 0.02 on
+        with pytest.raises(twoatom.InvariantError, match="excitation number"):
+            run_scenario(Scenario(delta=1e200, grid=TimeGrid(0.0, 6.0, 301)))
+        scen = tmp_path / "s.txt"
+        scen.write_text("t_end = 6.0\npoints = 301\n")
+        out = tmp_path / "out.csv"
+        code = main(["run", "--scenario", str(scen), "--delta=1e200", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        rows = sweep(Scenario(grid=TimeGrid(0.0, 6.0, 301)), "delta", [1.0, 1e200])
+        assert rows[0].error == ""
+        assert "excitation number" in rows[1].error
+        assert math.isnan(rows[1].first_max_c)
+
+    def test_excitation_bounds_hold_on_the_figures(self):
+        for s in FIGURE_SCENARIOS.values():
+            run_scenario(s)
+        # and on the C(5) grid of a sweep whose grid misses t = 5
+        (row,) = sweep(Scenario(initial="both_excited", grid=TimeGrid(0.0, 3.0, 300)), "x", [0.3])
+        assert row.error == ""
+
 
 class TestSweep:
     def test_independent_atoms_stay_unentangled(self):
@@ -310,6 +369,12 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "gamma12 = 0.945968734" in out
         assert "omega12 = 4.65211096" in out
+
+    def test_couplings_small_separation(self, capsys):
+        # unsummed, the near-field cancellation gives gamma12 > gamma here
+        assert main(["couplings", "--x", "1e-5"]) == EXIT_OK
+        (line,) = [s for s in capsys.readouterr().out.splitlines() if s.startswith("gamma12")]
+        assert float(line.split("=")[1]) < 1.0
 
     def test_couplings_invalid_geometry(self, capsys):
         assert main(["couplings", "--x", "-1"]) == EXIT_VALIDATION

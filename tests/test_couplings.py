@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from twoatom.couplings import (
     Geometry,
     GeometryError,
     X_MIN,
+    X_SERIES,
     collective_damping,
     dipole_dipole_shift,
     rates_from_geometry,
@@ -39,6 +41,39 @@ class TestCollectiveDamping:
         assert collective_damping(Geometry(x=1e-3, mu_dot_r=m)) == pytest.approx(
             1.0, abs=1e-5
         )
+
+
+def _damping_40_digits(x: float, mu_dot_r: float) -> float:
+    with mpmath.workdps(40):
+        x, m2 = mpmath.mpf(x), mpmath.mpf(mu_dot_r) ** 2
+        near = mpmath.cos(x) / x ** 2 - mpmath.sin(x) / x ** 3
+        return float(1.5 * ((1 - m2) * mpmath.sin(x) / x + (1 - 3 * m2) * near))
+
+
+class TestSmallSeparations:
+    """cos(x)/x^2 - sin(x)/x^3 cancels to -1/3 as x -> 0; below X_SERIES the
+    damping sums its Taylor series instead of losing eps/x^2."""
+
+    XS = np.concatenate(
+        [np.geomspace(X_MIN, 10.0, 400), [math.nextafter(X_SERIES, 0.0), X_SERIES, 2e-6, 1e-5]]
+    ).tolist()
+
+    @pytest.mark.parametrize("mu_dot_r", [0.0, 1.0 / math.sqrt(3.0), 0.5, 1.0])
+    def test_matches_40_digit_arithmetic(self, mu_dot_r):
+        for x in self.XS:
+            value = collective_damping(Geometry(x, mu_dot_r))
+            assert abs(value - _damping_40_digits(x, mu_dot_r)) <= 1e-13, x
+            assert value <= 1.0, x
+
+    @pytest.mark.parametrize("mu_dot_r", [0.0, 0.3, 1.0])
+    def test_continuous_at_the_series_threshold(self, mu_dot_r):
+        below = collective_damping(Geometry(math.nextafter(X_SERIES, 0.0), mu_dot_r))
+        assert abs(below - collective_damping(Geometry(X_SERIES, mu_dot_r))) <= 1e-14
+
+    def test_formerly_above_gamma(self):
+        # unsummed, the cancellation gives 1.0000019 > gamma here, which
+        # AtomPairParams refuses
+        assert collective_damping(Geometry(1e-5)) == pytest.approx(1.0 - 2e-11, abs=1e-15)
 
 
 class TestDipoleDipoleShift:

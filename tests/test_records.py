@@ -9,7 +9,6 @@ for bit, and a broken trajectory must be refused with the same invariant
 and index.
 """
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,7 +207,7 @@ def _fresh_row(s: Scenario, value: float) -> tuple:
         traj = run_scenario(s)
         at5 = traj
         if not traj.t[0] <= 5.0 <= traj.t[-1]:
-            at5 = run_scenario(replace(s, grid=TimeGrid(0.0, 5.0, 2)))
+            at5 = run_scenario(s._replace(grid=TimeGrid(0.0, 5.0, 2)))
     except (ValueError, InvariantError) as exc:
         return _row_bits(value, math.nan, math.nan, math.nan, str(exc))
     cmax, tmax = scenarios._first_maximum(traj.t, traj.concurrence)
@@ -268,7 +267,7 @@ def test_sweep_rows_do_not_alias_the_workspace(base, axis, values, monkeypatch):
     assert calls == {"initial_block": 1, "to_collective": converted}
     assert len(rows) == len(values)
     for v, row in zip(values, rows):
-        want = _fresh_row(replace(base, **{axis: v}), v)
+        want = _fresh_row(base._replace(**{axis: v}), v)
         assert _row_bits(row.value, row.first_max_c, row.t_first_max, row.c_at_t5, row.error) == want
     good = [r.first_max_c for r in rows if not r.error]
     assert len(set(good)) == len(good)
