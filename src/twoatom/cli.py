@@ -56,11 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="summary table over one parameter axis")
     p.add_argument("--scenario", help="base scenario file")
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p.add_argument(
-        "--values",
-        required=True,
-        help="comma-separated axis values; write --values=-1,0 when the first is negative",
-    )
+    p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--out", required=True)
     p.add_argument("--points", type=int)
 
@@ -122,8 +118,28 @@ def _cmd_figure(args) -> int:
     return EXIT_OK
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--opt -1e5`` as ``--opt=-1e5``, and so for a comma list of floats:
+    argparse takes a value that starts with "-" for an option unless it is a
+    plain negative number such as -1."""
+    joined: list[str] = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        # the option before takes a value: any long option but --help
+        if prev[:2] == "--" and prev not in ("--", "--help") and "=" not in prev and arg[:1] == "-":
+            try:
+                list(map(float, arg.split(",")))
+                joined[-1] += "=" + arg
+                continue
+            except ValueError:
+                pass
+        joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_values(argv))
     handlers = {
         "couplings": _cmd_couplings,
         "run": _cmd_run,

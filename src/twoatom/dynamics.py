@@ -10,9 +10,9 @@ coefficients, dy/dt = A y, so one exact propagator serves every scenario:
   of y (see ``generator``); ``scenarios.record_from_state`` maps those rows
   to the output columns and checks them.  Its two steps are shared with
   ``scenarios.run_scenario`` and ``scenarios.sweep``: ``propagators``
-  exponentiates a stack of generators, one per parameter set, in one
-  ``expm`` call (which takes stacks of matrices), and ``fill`` propagates
-  one initial state with one of them.
+  exponentiates a stack of generators, one per parameter set, on one grid
+  in one ``expm`` call (which takes stacks of matrices), and ``fill``
+  propagates one initial state with one of them.
 
 Two independent routes are kept as oracles for it:
 
@@ -133,6 +133,8 @@ class TimeGrid(_TimeGrid):
     def _make(cls, iterable):
         return cls(*iterable)
 
+    # linspace's last point can overflow before it is set to t_end exactly
+    @np.errstate(over="ignore")
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_points)
 
@@ -217,6 +219,11 @@ def _squarings(norm: float) -> int:
     return math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
 
 
+# A huge norm overflows to inf and NaN in the products below, as do a huge
+# rate times a time and the powers of an inexact step in ``propagators`` and
+# ``fill``.  Callers refuse the result by its non-finite entries, so numpy's
+# warnings would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by Pade-13 scaling and squaring.
 
@@ -251,12 +258,9 @@ def expm(a: np.ndarray) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     )
     out = np.linalg.solve(v - u, v + u)
-    # a huge norm overflows to inf and NaN here; callers refuse the result
-    # by its non-finite entries, so numpy's warnings would only repeat that
-    with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(squarings.max()):
-            more = np.flatnonzero(squarings > level)
-            out[more] = out[more] @ out[more]
+    for level in range(squarings.max()):
+        more = np.flatnonzero(squarings > level)
+        out[more] = out[more] @ out[more]
     out[bad] = np.nan
     return out.reshape(shape)
 
@@ -273,32 +277,22 @@ class Propagators(NamedTuple):
     powers: np.ndarray
 
 
-def propagators(gens: np.ndarray, *grids: TimeGrid) -> list[Propagators]:
-    """The propagators of a stack of generators, shape (k, 7, 7), on each grid.
+@np.errstate(over="ignore", invalid="ignore")
+def propagators(gens: np.ndarray, grid: TimeGrid) -> Propagators:
+    """The propagators of a stack of generators, shape (k, 7, 7), on the grid.
 
-    One ``expm`` call exponentiates every generator at every grid's step and
+    One ``expm`` call exponentiates every generator at the grid's step and
     start time; each level of the powers is one matrix product on the stack.
     """
-    times = []
-    for grid in grids:
-        times.append((grid.t_end - grid.t_start) / (grid.n_points - 1))
-        if grid.t_start > 0.0:
-            times.append(grid.t_start)
+    times = [(grid.t_end - grid.t_start) / (grid.n_points - 1)]
+    if grid.t_start > 0.0:
+        times.append(grid.t_start)
     e = expm(gens[:, np.newaxis] * np.array(times)[:, np.newaxis, np.newaxis])
-    out = []
-    col = 0
-    for grid in grids:
-        powers = np.empty(((grid.n_points - 1).bit_length(), *gens.shape))
-        powers[0] = e[:, col]
-        for j in range(1, len(powers)):
-            np.matmul(powers[j - 1], powers[j - 1], out=powers[j])
-        start = None
-        if grid.t_start > 0.0:
-            col += 1
-            start = e[:, col]
-        col += 1
-        out.append(Propagators(start, powers))
-    return out
+    powers = np.empty(((grid.n_points - 1).bit_length(), *gens.shape))
+    powers[0] = e[:, 0]
+    for j in range(1, len(powers)):
+        np.matmul(powers[j - 1], powers[j - 1], out=powers[j])
+    return Propagators(e[:, 1] if grid.t_start > 0.0 else None, powers)
 
 
 def state_vector(c: CollectiveState) -> np.ndarray:
@@ -309,6 +303,7 @@ def state_vector(c: CollectiveState) -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fill(y0: np.ndarray, props: Propagators, k: int, out: np.ndarray) -> np.ndarray:
     """Trajectory k of a stack of propagators: ``out``, shape (7, n_points)
     of their grid, receives y0 prepared at t = 0 and propagated over it.
@@ -327,21 +322,17 @@ def fill(y0: np.ndarray, props: Propagators, k: int, out: np.ndarray) -> np.ndar
     return out
 
 
-def evolve_block_ode(
-    c0: CollectiveState, p: AtomPairParams, grid: TimeGrid, out: np.ndarray | None = None
-) -> np.ndarray:
+def evolve_block_ode(c0: CollectiveState, p: AtomPairParams, grid: TimeGrid) -> np.ndarray:
     """Exact solution of the collective-basis equations on the grid; any detuning.
 
     The state c0 is prepared at t = 0 and propagated over the grid by
     ``fill``.  Returns the trajectory as one C-contiguous float array of
     shape (7, n_points) over ``grid.times()``: the rows are the components
     of y in ``generator``, ree, rss, raa, Re ras, Im ras, Re reg, Im reg
-    (rgg = 1 - ree - rss - raa).  ``out``, of that shape, receives them
-    instead of a new array.
+    (rgg = 1 - ree - rss - raa).
     """
-    (props,) = propagators(generator(p)[np.newaxis], grid)
-    ys = np.empty((7, grid.n_points)) if out is None else out
-    return fill(state_vector(c0), props, 0, ys)
+    props = propagators(generator(p)[np.newaxis], grid)
+    return fill(state_vector(c0), props, 0, np.empty((7, grid.n_points)))
 
 
 def _pair_operators():

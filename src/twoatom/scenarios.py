@@ -114,8 +114,6 @@ _OUTPUT_COLUMNS = {
 # output columns, eleven temporaries and two rows that hold the interleaved
 # (n, 2) parts of r12 and then of r34, whose second column is Im ras.
 WORK_ROWS = 17
-# the record's last temporary row, free once the record is made
-_FREE_ROW = 14
 
 
 def record_from_state(
@@ -216,6 +214,8 @@ def record_from_state(
     )
 
 
+# a huge or negative gamma, which AtomPairParams refuses, overflows here
+@np.errstate(over="ignore", invalid="ignore")
 def excitation_bounds(y0: np.ndarray, gamma: float, t: np.ndarray) -> tuple[np.ndarray, float]:
     """Bounds on ree - rgg = n - 1 at the times t, each widened by TOL_PSD,
     for the trajectory from the state vector y0 at t = 0.
@@ -231,23 +231,6 @@ def excitation_bounds(y0: np.ndarray, gamma: float, t: np.ndarray) -> tuple[np.n
     return n0 * np.exp(-2.0 * gamma * t) - (1.0 + TOL_PSD), n0 - 1.0 + TOL_PSD
 
 
-def check_excitation(traj: Trajectory, bounds, scratch: np.ndarray) -> None:
-    """Raise InvariantError, naming the first offending index, unless the
-    trajectory's excitation number stays within ``excitation_bounds``.
-
-    ``scratch`` is a float row of the trajectory's length.
-    """
-    low, high = bounds
-    m = np.subtract(traj.rho_ee, traj.rho_gg, out=scratch)
-    if m.max() > high or np.subtract(m, low, out=m).min() < 0.0:
-        m = np.subtract(traj.rho_ee, traj.rho_gg, out=scratch)
-        bad = (m < low) | (m > high)
-        problem = at_index("excitation number outside [n(0) exp(-2 gamma t), n(0)]", bad)
-        raise InvariantError(
-            f"unphysical trajectory between t = {traj.t[0]:g} and t = {traj.t[-1]:g}: {problem}"
-        )
-
-
 def workspace(grid: TimeGrid) -> np.ndarray:
     """Room for one trajectory on the grid, 24 float rows: the 7 state rows
     (the record turns Re ras into the ``re_rho_as`` column in place), then
@@ -255,25 +238,36 @@ def workspace(grid: TimeGrid) -> np.ndarray:
     return np.empty((7 + WORK_ROWS, grid.n_points))
 
 
-def run_scenario(s: Scenario, work: np.ndarray | None = None) -> Trajectory:
+def _trajectory(y0, props, k, t, bounds, work) -> Trajectory:
+    """Trajectory k of ``props`` from y0 over the times t, in ``work``, a
+    ``workspace`` of their grid.  Raises InvariantError, naming the first
+    offending index, unless it passes the checks of ``record_from_state``
+    and its excitation number stays within ``excitation_bounds``."""
+    traj = record_from_state(t, fill(y0, props, k, work[:7]), work[7:])
+    low, high = bounds
+    # the record's last temporary row, free once the record is made
+    m = np.subtract(traj.rho_ee, traj.rho_gg, out=work[-3])
+    if m.max() > high or np.subtract(m, low, out=m).min() < 0.0:
+        m = np.subtract(traj.rho_ee, traj.rho_gg, out=m)
+        bad = (m < low) | (m > high)
+        problem = at_index("excitation number outside [n(0) exp(-2 gamma t), n(0)]", bad)
+        raise InvariantError(
+            f"unphysical trajectory between t = {t[0]:g} and t = {t[-1]:g}: {problem}"
+        )
+    return traj
+
+
+def run_scenario(s: Scenario) -> Trajectory:
     """Propagate the scenario's initial state over its grid.
 
     The propagation is ``dynamics.evolve_block_ode``'s: ``propagators`` of
     the one generator, then ``fill``.  Raises InvariantError unless the
-    trajectory passes the checks of ``record_from_state`` and then those of
-    ``check_excitation``.  ``work``, a ``workspace`` of the
-    scenario's grid, lets a caller that runs many scenarios on one grid
-    reuse its memory; the trajectory's columns are then views of it,
-    overwritten by the next call.  Without it the trajectory owns its arrays.
+    trajectory passes the checks of ``_trajectory``.  It owns its arrays.
     """
-    if work is None:
-        work = workspace(s.grid)
     y0 = state_vector(to_collective(s.initial_block()))
-    (props,) = propagators(generator(s.params())[np.newaxis], s.grid)
+    props = propagators(generator(s.params())[np.newaxis], s.grid)
     t = s.grid.times()
-    traj = record_from_state(t, fill(y0, props, 0, work[:7]), work[7:])
-    check_excitation(traj, excitation_bounds(y0, s.gamma, t), work[7 + _FREE_ROW])
-    return traj
+    return _trajectory(y0, props, 0, t, excitation_bounds(y0, s.gamma, t), workspace(s.grid))
 
 
 def scenario_columns(s: Scenario) -> tuple[str, ...]:
@@ -314,18 +308,17 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
     """One summary row per axis value.
 
     No axis changes the initial state or the grid, so the sweep checks and
-    converts the initial state, builds the output times and allocates one
-    workspace once.  It builds the generator of each value and exponentiates
-    those of up to _SWEEP_STACK values in one ``dynamics.propagators`` call;
-    each value then only fills its trajectory into the workspace, and its
-    summary is read before the next value overwrites it.
+    converts the initial state, builds the output times and the excitation
+    bounds and allocates one workspace once.  It exponentiates the generators
+    of up to _SWEEP_STACK values in one ``dynamics.propagators`` call; each
+    value's trajectory is then made in the workspace by ``_trajectory``, as
+    in ``run_scenario``, and summarised before the next value overwrites it.
 
     ``c_at_t5`` is the concurrence at t = 5: interpolated on the scenario's
-    grid when the grid spans t = 5, propagated exactly to t = 5 otherwise.
-    A value that is invalid or gives an unphysical trajectory (by the checks
-    of ``run_scenario``; the excitation bounds are computed once) is reported
-    in its row's ``error``, and an invalid initial state in every row; any
-    other exception propagates.
+    grid when the grid spans t = 5, propagated exactly to t = 5 otherwise,
+    on a 2-point grid of its own.  A value that is invalid or gives an
+    unphysical trajectory is reported in its row's ``error``, and an invalid
+    initial state in every row; any other exception propagates.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -339,9 +332,7 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
     bounds = excitation_bounds(y0, base.gamma, t)
     # a grid that misses t = 5: C(5) ends a trajectory on a grid of its own
     grid5 = None if t[0] <= 5.0 <= t[-1] else TimeGrid(0.0, 5.0, 2)
-    grids = [base.grid]
     if grid5 is not None:
-        grids.append(grid5)
         t5, work5 = grid5.times(), workspace(grid5)
         bounds5 = excitation_bounds(y0, base.gamma, t5)
     rows = []
@@ -355,16 +346,16 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
                 gens[k] = generator(base._replace(**{axis: v}).params())
             except ValueError as exc:
                 errors[k] = str(exc)
-        props = propagators(gens, *grids)
+        props = propagators(gens, base.grid)
+        if grid5 is not None:
+            props5 = propagators(gens, grid5)
         for k, v in enumerate(chunk):
             error = errors[k]
             if error is None:
                 try:
-                    traj = at5 = record_from_state(t, fill(y0, props[0], k, work[:7]), work[7:])
-                    check_excitation(traj, bounds, work[7 + _FREE_ROW])
+                    traj = at5 = _trajectory(y0, props, k, t, bounds, work)
                     if grid5 is not None:
-                        at5 = record_from_state(t5, fill(y0, props[1], k, work5[:7]), work5[7:])
-                        check_excitation(at5, bounds5, work5[7 + _FREE_ROW])
+                        at5 = _trajectory(y0, props5, k, t5, bounds5, work5)
                 except InvariantError as exc:
                     error = str(exc)
             if error is not None:

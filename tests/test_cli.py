@@ -560,6 +560,48 @@ class TestCommandLine:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,scenario",
+        [
+            # 2 delta dt overflows to inf in the generator times the step
+            (["--delta=8e307", "--points", "2"], None),
+            # expm rounds the step above norm 1, and its powers overflow
+            (["--delta=3.7e18"], None),
+            # linspace overflows at the last time before it sets it to t_end
+            ([], "t_end = 1.7976931348623157e+308\npoints = 7\n"),
+        ],
+        ids=["generator_product", "propagator_powers", "largest_t_end"],
+    )
+    def test_overflow_exits_3_with_only_the_error_line(self, tmp_path, argv, scenario):
+        if scenario is not None:
+            (tmp_path / "s.txt").write_text(scenario)
+            argv = [*argv, "--scenario", str(tmp_path / "s.txt")]
+        out = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoatom.cli", "run", *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+        assert proc.stderr.startswith("numerical failure: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not out.exists()
+
+    def test_huge_gamma_sweep_writes_nothing_to_stderr(self, tmp_path):
+        # the excitation bounds overflow before AtomPairParams refuses the rates
+        scen = tmp_path / "s.txt"
+        scen.write_text("gamma = 1.7e308\npoints = 20\n")
+        out = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoatom.cli", "sweep", "--scenario", str(scen),
+             "--axis", "delta", "--values=0,1", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        assert all(r.endswith('must be finite, got inf"') for r in out.read_text().splitlines()[1:])
+
     def test_huge_separation_in_a_fresh_process(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(
@@ -588,6 +630,36 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as exc:
             main(["couplings", "--x", "nan"])
         assert exc.value.code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "spaced,joined",
+        [
+            (["sweep", "--axis", "gamma12", "--values", "-1,0", "--points", "50"],
+             ["sweep", "--axis", "gamma12", "--values=-1,0", "--points", "50"]),
+            (["sweep", "--axis", "delta", "--values", "-1e-3"],
+             ["sweep", "--axis", "delta", "--values=-1e-3"]),
+            (["run", "--delta", "-1e-3", "--points", "50"],
+             ["run", "--delta=-1e-3", "--points", "50"]),
+            (["run", "--mu-dot-r", "-0.5e0", "--points", "50"],
+             ["run", "--mu-dot-r=-0.5e0", "--points", "50"]),
+            (["run", "--x", "-1e5"], ["run", "--x=-1e5"]),
+            (["run", "--points", "-1"], ["run", "--points=-1"]),
+        ],
+    )
+    def test_negative_values_need_no_equals_sign(self, tmp_path, capsys, spaced, joined):
+        # argparse reads "-1e5" or "-1,0" as an option unless it is joined
+        # to its option by "="
+        results = []
+        for argv in (spaced, joined):
+            out = tmp_path / "out.csv"
+            code = main([*argv, "--out", str(out)])
+            csv_text = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            results.append((code, csv_text, capsys.readouterr().err))
+        assert results[0] == results[1]
+        if joined[1:] == ["--x=-1e5"]:
+            assert results[0][0] == EXIT_VALIDATION
+            assert results[0][2] == "error: separation k0*r12 must be > 0, got -100000.0\n"
 
     def test_load_scenario_round_trip(self, tmp_path):
         scen = tmp_path / "s.txt"

@@ -6,7 +6,8 @@ the run path: the rows as a ``CollectiveState`` (``conftest.collective``),
 ``from_collective``, ``block_report`` for the measures and
 ``block_violation`` plus N <= C for the invariants.  Both must agree bit
 for bit, and a broken trajectory must be refused with the same invariant
-and index.
+and index.  ``run_scenario``, the command line's path, must give the
+record's bits too.
 """
 import math
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import twoatom.scenarios as scenarios
 from twoatom.dynamics import InvariantError, TimeGrid, evolve_block_ode, total_spin_squared
 from twoatom.entanglement import block_report
-from twoatom.scenarios import Scenario, record_from_state, run_scenario, sweep
+from twoatom.scenarios import Scenario, Trajectory, record_from_state, run_scenario, sweep
 from twoatom.statespace import TOL_PSD, BlockState, block_violation, from_collective, to_collective
 
 from conftest import block_states, collective, random_block_states
@@ -55,11 +56,12 @@ def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def _assert_same_bits(t, ys) -> None:
+def _assert_same_bits(t, ys) -> Trajectory:
     traj = record_from_state(t, ys)
     assert traj.t is t
     for name, want in _oracle_columns(ys).items():
         np.testing.assert_array_equal(_bits(getattr(traj, name)), _bits(want), err_msg=name)
+    return traj
 
 
 def _scenario(initial, custom, gamma12, omega12, delta, t_start, span, n) -> Scenario:
@@ -73,8 +75,17 @@ def _scenario(initial, custom, gamma12, omega12, delta, t_start, span, n) -> Sce
     )
 
 
-def _rows(s: Scenario) -> np.ndarray:
-    return evolve_block_ode(to_collective(s.initial_block()), s.params(), s.grid)
+def _assert_scenario_same_bits(s: Scenario) -> None:
+    """The record of the library path, ``record_from_state`` of
+    ``evolve_block_ode``, has the oracles' bits, and every column of
+    ``run_scenario``, the command line's path, has the record's."""
+    rows = evolve_block_ode(to_collective(s.initial_block()), s.params(), s.grid)
+    traj = _assert_same_bits(s.grid.times(), rows)
+    run = run_scenario(s)
+    for name in Trajectory._fields:
+        np.testing.assert_array_equal(
+            _bits(getattr(run, name)), _bits(getattr(traj, name)), err_msg=name
+        )
 
 
 class TestSameBitsAsTheOracles:
@@ -82,11 +93,11 @@ class TestSameBitsAsTheOracles:
     @pytest.mark.parametrize("initial", [*scenarios.INITIAL_STATES])
     def test_dicke_points(self, initial, gamma12):
         s = _scenario(initial, None, gamma12, 0.0, 0.0, 0.0, 8.0, 801)
-        _assert_same_bits(s.grid.times(), _rows(s))
+        _assert_scenario_same_bits(s)
 
     def test_figures(self):
         for s in scenarios.FIGURE_SCENARIOS.values():
-            _assert_same_bits(s.grid.times(), _rows(s))
+            _assert_scenario_same_bits(s)
 
     def test_random_scenarios(self, rng):
         pops, r12, r34 = random_block_states(rng, 60)
@@ -103,7 +114,7 @@ class TestSameBitsAsTheOracles:
                 float(rng.uniform(0.01, 15.0)),
                 int(rng.integers(2, 2000)),
             )
-            _assert_same_bits(s.grid.times(), _rows(s))
+            _assert_scenario_same_bits(s)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -118,7 +129,7 @@ class TestSameBitsAsTheOracles:
     )
     def test_generated_scenarios(self, initial, custom, gamma12, omega12, delta, t_start, span, n):
         s = _scenario(initial, custom, gamma12, omega12, delta, t_start, span, n)
-        _assert_same_bits(s.grid.times(), _rows(s))
+        _assert_scenario_same_bits(s)
 
 
 # ---------------------------------------------------------------------------
