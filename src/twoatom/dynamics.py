@@ -6,13 +6,13 @@ coefficients, dy/dt = A y, so one exact propagator serves every scenario:
 * ``evolve_block_ode`` -- steps y(t + dt) = expm(A dt) y(t) on the uniform
   output grid; valid for any detuning, including the Dicke points
   gamma12 = +/-gamma where the closed forms are singular.  It returns the
-  trajectory as one real (7, n_points) array whose rows are the components
-  of y (see ``generator``); ``scenarios.record_from_state`` maps those rows
-  to the output columns and checks them.  Its two steps are shared with
-  ``scenarios.run_scenario`` and ``scenarios.sweep``: ``propagators``
-  exponentiates a stack of generators, one per parameter set, on one grid
-  in one ``expm`` call (which takes stacks of matrices), and ``fill``
-  propagates one initial state with one of them.
+  trajectory as one real (STATE_ROWS, n_points) array whose rows are the
+  components of y (see ``generator``); ``scenarios.record_from_state`` maps
+  those rows to the output columns and checks them.  Its two steps are
+  shared with ``scenarios.run_scenario`` and ``scenarios.sweep``:
+  ``propagators`` exponentiates a stack of generators, one per parameter
+  set, on one grid in one ``expm`` call (which takes stacks of matrices),
+  and ``fill`` propagates one initial state with one of them.
 
 Two independent routes are kept as oracles for it:
 
@@ -34,8 +34,8 @@ import numpy as np
 from .statespace import CollectiveState
 
 EPS_DICKE = 1e-8
-# Largest output grid.  A trajectory takes about 0.23 kB per point in memory
-# at its peak: 24 float rows (the state, the output columns and the record
+# Largest output grid.  A trajectory takes about 0.22 kB per point in memory
+# at its peak: 22 float rows (the state, the output columns and the record
 # temporaries) and the masks of the invariant checks; writing its CSV adds at
 # most a chunk of text.  Measured with tracemalloc on `run_scenario` and
 # `write_csv` at 100 000 points.
@@ -61,11 +61,11 @@ class _AtomPairParams(NamedTuple):
     gamma12: float = 0.0
     omega12: float = 0.0
     delta: float = 0.0  # half the transition-frequency difference
-    omega0: float = 0.0  # mean frequency; 0 = rotating frame
 
 
 class AtomPairParams(_AtomPairParams):
-    """Rates and frequencies of the pair; all in units of gamma (time 1/gamma).
+    """Rates and frequencies of the pair; all in units of gamma (time 1/gamma),
+    in the frame rotating at the mean transition frequency.
 
     Checked on construction and by ``_replace``.
     """
@@ -78,21 +78,15 @@ class AtomPairParams(_AtomPairParams):
         gamma12: float = 0.0,
         omega12: float = 0.0,
         delta: float = 0.0,
-        omega0: float = 0.0,
     ):
         _require_finite(
-            "AtomPairParams",
-            gamma=gamma,
-            gamma12=gamma12,
-            omega12=omega12,
-            delta=delta,
-            omega0=omega0,
+            "AtomPairParams", gamma=gamma, gamma12=gamma12, omega12=omega12, delta=delta
         )
         if not gamma > 0.0:
             raise ValueError(f"gamma must be > 0, got {gamma}")
         if abs(gamma12) > gamma * (1.0 + 1e-12):
             raise ValueError(f"|gamma12| must not exceed gamma, got {gamma12}")
-        return super().__new__(cls, gamma, gamma12, omega12, delta, omega0)
+        return super().__new__(cls, gamma, gamma12, omega12, delta)
 
     @classmethod
     def _make(cls, iterable):
@@ -150,7 +144,7 @@ def evolve_analytic(c0: CollectiveState, p: AtomPairParams, t: float) -> Collect
     """
     if p.delta != 0.0:
         raise ValueError("analytic solution requires delta == 0")
-    g, g12, o12, w0 = p.gamma, p.gamma12, p.omega12, p.omega0
+    g, g12, o12 = p.gamma, p.gamma12, p.omega12
     if c0.ree > 0.0 and min(abs(g - g12), abs(g + g12)) < EPS_DICKE:
         raise DickeSingularityError(
             "gamma12 == +/-gamma with excited population: use evolve_block_ode"
@@ -167,27 +161,31 @@ def evolve_analytic(c0: CollectiveState, p: AtomPairParams, t: float) -> Collect
         rss += c0.ree * (g + g12) / (g - g12) * (e_fast - e_top)
         raa += c0.ree * (g - g12) / (g + g12) * (e_slow - e_top)
     ras = c0.ras * np.exp(-(g + 2j * o12) * t)
-    reg = c0.reg * np.exp(-(g + 2j * w0) * t)
+    reg = c0.reg * math.exp(-g * t)
     rgg = 1.0 - ree - rss - raa
     return CollectiveState(rgg=rgg, ree=ree, rss=rss, raa=raa, reg=reg, ras=ras)
+
+
+STATE_ROWS = 6  # components of y in ``generator``
 
 
 def generator(p: AtomPairParams) -> np.ndarray:
     """The constant matrix A of the collective-basis equations dy/dt = A y.
 
-    y = (ree, rss, raa, Re ras, Im ras, Re reg, Im reg); rgg = 1 - ree - rss - raa.
+    y = (ree, rss, raa, Re ras, Im ras, |reg|); rgg = 1 - ree - rss - raa.
+    reg obeys d reg/dt = -gamma reg, decoupled from the rest, and no output
+    reads its phase, so y carries its modulus only.
     """
-    g, g12, o12, d, w0 = p.gamma, p.gamma12, p.omega12, p.delta, p.omega0
+    g, g12, o12, d = p.gamma, p.gamma12, p.omega12, p.delta
     up, down = g + g12, g - g12  # superradiant and subradiant rates
     return np.array(
         [
-            [-2.0 * g, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [up, -up, 0.0, 0.0, -2.0 * d, 0.0, 0.0],
-            [down, 0.0, -down, 0.0, 2.0 * d, 0.0, 0.0],
-            [0.0, 0.0, 0.0, -g, 2.0 * o12, 0.0, 0.0],
-            [0.0, d, -d, -2.0 * o12, -g, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, -g, 2.0 * w0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * w0, -g],
+            [-2.0 * g, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [up, -up, 0.0, 0.0, -2.0 * d, 0.0],
+            [down, 0.0, -down, 0.0, 2.0 * d, 0.0],
+            [0.0, 0.0, 0.0, -g, 2.0 * o12, 0.0],
+            [0.0, d, -d, -2.0 * o12, -g, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, -g],
         ]
     )
 
@@ -279,7 +277,7 @@ class Propagators(NamedTuple):
 
 @np.errstate(over="ignore", invalid="ignore")
 def propagators(gens: np.ndarray, grid: TimeGrid) -> Propagators:
-    """The propagators of a stack of generators, shape (k, 7, 7), on the grid.
+    """The propagators of a stack of generators, shape (k, m, m), on the grid.
 
     One ``expm`` call exponentiates every generator at the grid's step and
     start time; each level of the powers is one matrix product on the stack.
@@ -296,16 +294,13 @@ def propagators(gens: np.ndarray, grid: TimeGrid) -> Propagators:
 
 
 def state_vector(c: CollectiveState) -> np.ndarray:
-    """y of ``generator``: ree, rss, raa, Re ras, Im ras, Re reg, Im reg."""
-    return np.array(
-        [c.ree, c.rss, c.raa, c.ras.real, c.ras.imag, c.reg.real, c.reg.imag],
-        dtype=float,
-    )
+    """y of ``generator``: ree, rss, raa, Re ras, Im ras, |reg|."""
+    return np.array([c.ree, c.rss, c.raa, c.ras.real, c.ras.imag, abs(c.reg)], dtype=float)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def fill(y0: np.ndarray, props: Propagators, k: int, out: np.ndarray) -> np.ndarray:
-    """Trajectory k of a stack of propagators: ``out``, shape (7, n_points)
+    """Trajectory k of a stack of propagators: ``out``, shape (m, n_points)
     of their grid, receives y0 prepared at t = 0 and propagated over it.
 
     Point 0 is expm(A t_start) y0.  The state at point j + m is P^m times
@@ -327,12 +322,12 @@ def evolve_block_ode(c0: CollectiveState, p: AtomPairParams, grid: TimeGrid) -> 
 
     The state c0 is prepared at t = 0 and propagated over the grid by
     ``fill``.  Returns the trajectory as one C-contiguous float array of
-    shape (7, n_points) over ``grid.times()``: the rows are the components
-    of y in ``generator``, ree, rss, raa, Re ras, Im ras, Re reg, Im reg
-    (rgg = 1 - ree - rss - raa).
+    shape (STATE_ROWS, n_points) over ``grid.times()``: the rows are the
+    components of y in ``generator``, ree, rss, raa, Re ras, Im ras, |reg|
+    (rgg = 1 - ree - rss - raa).  The oracles keep the phase of reg.
     """
     props = propagators(generator(p)[np.newaxis], grid)
-    return fill(state_vector(c0), props, 0, np.empty((7, grid.n_points)))
+    return fill(state_vector(c0), props, 0, np.empty((STATE_ROWS, grid.n_points)))
 
 
 def _pair_operators():
@@ -357,9 +352,8 @@ def lindblad_generator(p: AtomPairParams):
     """
     s1m, s2m, sz1, sz2 = _pair_operators()
     s1p, s2p = s1m.conj().T, s2m.conj().T
-    w1 = p.omega0 - p.delta
-    w2 = p.omega0 + p.delta
-    h = w1 * sz1 + w2 * sz2 - p.omega12 * (s1p @ s2m + s2p @ s1m)
+    # in the frame rotating at the mean frequency the atoms sit at -/+ delta
+    h = p.delta * (sz2 - sz1) - p.omega12 * (s1p @ s2m + s2p @ s1m)
 
     gmat = np.array([[p.gamma, p.gamma12], [p.gamma12, p.gamma]])
     sp = [s1p, s2p]

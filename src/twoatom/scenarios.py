@@ -13,6 +13,7 @@ import numpy as np
 
 from .couplings import Geometry, rates_from_geometry
 from .dynamics import (
+    STATE_ROWS,
     AtomPairParams,
     InvariantError,
     TimeGrid,
@@ -111,9 +112,9 @@ _OUTPUT_COLUMNS = {
 
 
 # Rows of a record workspace (see ``record_from_state``): four contiguous
-# output columns, eleven temporaries and two rows that hold the interleaved
-# (n, 2) parts of r12 and then of r34, whose second column is Im ras.
-WORK_ROWS = 17
+# output columns, ten temporaries and two rows that hold the interleaved
+# (n, 2) parts of r34, whose second column is Im ras.
+WORK_ROWS = 16
 
 
 def record_from_state(
@@ -136,14 +137,15 @@ def record_from_state(
     columns are views of it and of ``ys``.  Without it, a new one is made.
     The Re ras row of ``ys`` becomes the ``re_rho_as`` column in place: it
     changes at most the sign of a zero, or becomes NaN where Im ras is not
-    finite.
+    finite.  The |reg| row becomes its ``np.abs`` in place, as the oracle
+    reads it: a negative or -0.0 entry of hand-made rows changes sign.
     """
     n = ys.shape[1]
     if work is None:
         work = np.empty((WORK_ROWS, n))
-    ree, rss, raa, re_as, as_im, eg_re, eg_im = ys
-    rgg, conc, neg, s_sq, r33, r44, s1, s2, up, low, a12, a34, sq12, sq34, tmp = work[:15]
-    r = work[15:17].reshape(n, 2)  # (Re, Im) of r12, then of r34, up to signs
+    ree, rss, raa, re_as, as_im, eg = ys
+    rgg, conc, neg, s_sq, r33, r44, s1, s2, up, low, a34, sq12, sq34, tmp = work[:14]
+    r = work[14:16].reshape(n, 2)  # Re r34 and Im ras = -Im r34
     im_as = r[:, 1]
     # inf - inf and inf * 0 at non-finite entries; a coherence near 1e300
     # overflows |r|**2 to inf, which still fails the positivity checks
@@ -154,31 +156,31 @@ def record_from_state(
         np.subtract(rgg, rss, out=rgg)
         np.subtract(rgg, raa, out=rgg)
         np.add(re_as, np.multiply(as_im, 0.0, out=tmp), out=re_as)
-        # the block state: r11 = rgg, r22 = ree, r33, r44, r12 = conj(reg),
+        # the block state: r11 = rgg, r22 = ree, r33, r44, |r12| = |reg|,
         # r34 = (rss - raa) / 2 - 1j Im ras
         np.multiply(np.add(rss, raa, out=r33), 0.5, out=r33)
         np.add(r33, re_as, out=r44)
         np.subtract(r33, re_as, out=r33)
-        # |r| as np.abs of a complex view: hypot of the parts, signs aside
-        r[:, 0], r[:, 1] = eg_re, eg_im
-        np.abs(r.view(np.complex128)[:, 0], out=a12)
         # Im ras as the complex holds it: + 0.0 reproduces its signed zeros
         np.multiply(np.subtract(rss, raa, out=tmp), 0.5, out=r[:, 0])
         np.add(as_im, 0.0, out=im_as)
+        # |r34| as np.abs of a complex view: hypot of the parts, signs aside
         np.abs(r.view(np.complex128)[:, 0], out=a34)
         np.add(rgg, ree, out=s2)
         np.add(r33, r44, out=s1)
         trace = np.add(np.add(s2, r33, out=tmp), r44, out=tmp)
-        np.multiply(a12, a12, out=sq12)
+        # |reg|**2, whatever the sign of the row
+        np.multiply(eg, eg, out=sq12)
         np.multiply(a34, a34, out=sq34)
         np.multiply(rgg, ree, out=up)
         np.multiply(r33, r44, out=low)
-        # a sum is finite only when every term is: the real and the imaginary
-        # part of trace + r12 + r34
-        finite = np.isfinite(np.add(np.add(trace, eg_re, out=conc), r[:, 0], out=conc))
-        finite &= np.isfinite(np.add(eg_im, im_as, out=conc))
+        # a sum is finite only when every term is: trace + Re r12 + Re r34,
+        # where Re r12 is the reg row as it is; a non-finite Im ras has made
+        # Re ras, and so the trace, NaN already
+        finite = np.isfinite(np.add(np.add(trace, eg, out=conc), r[:, 0], out=conc))
         problem = first_violation(finite, trace, (rgg, ree, r33, r44), ((sq12, up), (sq34, low)))
     if not problem:
+        a12 = np.abs(eg, out=eg)
         # C = 2 max(0, |r12| - sqrt(r33 r44), |r34| - sqrt(r11 r22)); the
         # factor 2 is exact, so it may come last
         for branch, a, product in ((conc, a12, low), (tmp, a34, up)):
@@ -232,10 +234,10 @@ def excitation_bounds(y0: np.ndarray, gamma: float, t: np.ndarray) -> tuple[np.n
 
 
 def workspace(grid: TimeGrid) -> np.ndarray:
-    """Room for one trajectory on the grid, 24 float rows: the 7 state rows
-    (the record turns Re ras into the ``re_rho_as`` column in place), then
-    the WORK_ROWS = 17 rows of ``record_from_state``."""
-    return np.empty((7 + WORK_ROWS, grid.n_points))
+    """Room for one trajectory on the grid, 22 float rows: the STATE_ROWS
+    rows of the state (the record turns Re ras into the ``re_rho_as`` column
+    in place), then the WORK_ROWS rows of ``record_from_state``."""
+    return np.empty((STATE_ROWS + WORK_ROWS, grid.n_points))
 
 
 def _trajectory(y0, props, k, t, bounds, work) -> Trajectory:
@@ -243,7 +245,7 @@ def _trajectory(y0, props, k, t, bounds, work) -> Trajectory:
     ``workspace`` of their grid.  Raises InvariantError, naming the first
     offending index, unless it passes the checks of ``record_from_state``
     and its excitation number stays within ``excitation_bounds``."""
-    traj = record_from_state(t, fill(y0, props, k, work[:7]), work[7:])
+    traj = record_from_state(t, fill(y0, props, k, work[:STATE_ROWS]), work[STATE_ROWS:])
     low, high = bounds
     # the record's last temporary row, free once the record is made
     m = np.subtract(traj.rho_ee, traj.rho_gg, out=work[-3])
@@ -339,7 +341,7 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
     for first in range(0, len(values), _SWEEP_STACK):
         chunk = values[first : first + _SWEEP_STACK]
         # an invalid value keeps a NaN generator in its place of the stack
-        gens = np.full((len(chunk), 7, 7), np.nan)
+        gens = np.full((len(chunk), STATE_ROWS, STATE_ROWS), np.nan)
         errors: list[str | None] = [None] * len(chunk)
         for k, v in enumerate(chunk):
             try:

@@ -37,15 +37,16 @@ def random_pure_block_states(rng: np.random.Generator, n: int):
 
 def collective(ys) -> CollectiveState:
     """The rows ``evolve_block_ode`` returns, as one CollectiveState with
-    array fields (rgg = 1 - ree - rss - raa): the input of the
-    ``from_collective`` / ``block_report`` oracles."""
-    ree, rss, raa, as_re, as_im, eg_re, eg_im = ys
+    array fields (rgg = 1 - ree - rss - raa, and reg real: the rows carry
+    only its modulus): the input of the ``from_collective`` /
+    ``block_report`` oracles."""
+    ree, rss, raa, as_re, as_im, eg = ys
     return CollectiveState(
         rgg=1.0 - ree - rss - raa,
         ree=ree,
         rss=rss,
         raa=raa,
-        reg=eg_re + 1j * eg_im,
+        reg=eg + 0j,
         ras=as_re + 1j * as_im,
     )
 

@@ -209,7 +209,8 @@ def test_ac07_dynamics_cross_validation():
             ode_state = state_at(ode, k)
             ana = evolve_analytic(c0, PARAMS, float(t))
             cm = to_collective(matrix_to_block(m))
-            for a, b in ((ana, ode_state), (ana, cm)):
+            # the propagator carries reg by its modulus
+            for a, b in ((ana._replace(reg=abs(ana.reg)), ode_state), (ana, cm)):
                 worst = max(
                     worst,
                     abs(a.ree - b.ree),

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ import twoatom
 import twoatom.scenarios as scenarios
 from twoatom.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from twoatom.dynamics import (
+    STATE_ROWS,
     DickeSingularityError,
     TimeGrid,
     evolve_analytic,
@@ -144,10 +146,10 @@ class TestRunScenario:
 
     def test_unphysical_trajectory_is_refused(self, monkeypatch, tmp_path):
         def unphysical(y0, props, k, out):
-            # rows ree, rss, raa, Re ras, Im ras, Re reg, Im reg: rgg = 0,
+            # rows ree, rss, raa, Re ras, Im ras, |reg|: rgg = 0,
             # rss = raa = 0.5, and |ras| = 0.9 puts a negative population in
             # the one-excitation block
-            ys = np.zeros((7, out.shape[1]))
+            ys = np.zeros((STATE_ROWS, out.shape[1]))
             ys[1:3] = 0.5
             ys[3] = 0.9
             return ys
@@ -702,43 +704,61 @@ def _scenario_texts(draw) -> str:
 
 
 @st.composite
-def _argvs(draw) -> list[str]:
+def _argvs(draw) -> tuple[list[str], list[str]]:
+    """A ``run`` or ``sweep`` argv whose options each take the ``--opt=value``
+    or the spaced ``--opt value`` form, in which a negative value such as
+    -1e5 or -1,0 must pass too; and the same argv in the ``=`` form only."""
     command = draw(st.sampled_from(["run", "sweep"]))
-    argv = [command]
+    options = []
     if command == "run":
         for flag in ("--x", "--mu-dot-r", "--delta"):
             if draw(st.booleans()):
-                argv.append(f"{flag}={draw(_NUMBERS)}")
+                options.append((flag, draw(_NUMBERS)))
         if draw(st.booleans()):
-            argv.append("--initial=" + draw(_SCENARIO_LINES["initial"]))
+            options.append(("--initial", draw(_SCENARIO_LINES["initial"])))
     else:
         values = draw(st.lists(_NUMBERS, min_size=1, max_size=3))
-        argv += ["--axis", draw(st.sampled_from(scenarios.SWEEP_AXES)),
-                 "--values=" + ",".join(map(str, values))]
+        options.append(("--axis", draw(st.sampled_from(scenarios.SWEEP_AXES))))
+        options.append(("--values", ",".join(map(str, values))))
     if draw(st.booleans()):
-        argv.append(f"--points={draw(st.integers(-1, 60))}")
-    return argv
+        options.append(("--points", draw(st.integers(-1, 60))))
+    argv, joined = [command], [command]
+    for flag, value in options:
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, str(value)]
+        joined.append(f"{flag}={value}")
+    return argv, joined
 
 
 class TestFuzz:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(text=_scenario_texts(), argv=_argvs())
-    def test_main_exits_with_a_documented_code(self, text, argv):
+    @given(text=_scenario_texts(), argvs=_argvs())
+    def test_main_exits_with_a_documented_code(self, text, argvs):
+        argv, joined = argvs
         with tempfile.TemporaryDirectory() as tmp:
             scen, out = Path(tmp) / "s.txt", Path(tmp) / "out.csv"
             scen.write_text(text, encoding="utf-8")
-            try:
-                code = main([*argv, "--scenario", str(scen), "--out", str(out)])
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
-            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
-            assert out.exists() == (code == EXIT_OK)
-            if code != EXIT_OK:
-                return
-            with open(out, encoding="utf-8", newline="") as fh:
-                header, *rows = csv.reader(fh)
-            assert rows and all(len(r) == len(header) for r in rows)
-            for row in rows:
-                fields = dict(zip(header, row))
-                if fields.pop("error", "") == "":
-                    assert all(math.isfinite(float(v)) for v in fields.values()), row
+            results = []
+            for args in (joined, argv) if argv != joined else (argv,):
+                try:
+                    code = main([*args, "--scenario", str(scen), "--out", str(out)])
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+                csv_text = None
+                if out.exists():
+                    with open(out, encoding="utf-8", newline="") as fh:
+                        csv_text = fh.read()
+                    out.unlink()
+                results.append((code, csv_text))
+        # the spaced form behaves as the "=" form does
+        assert results[-1] == results[0]
+        code, csv_text = results[0]
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+        assert (csv_text is not None) == (code == EXIT_OK)
+        if code != EXIT_OK:
+            return
+        header, *rows = csv.reader(io.StringIO(csv_text, newline=""))
+        assert rows and all(len(r) == len(header) for r in rows)
+        for row in rows:
+            fields = dict(zip(header, row))
+            if fields.pop("error", "") == "":
+                assert all(math.isfinite(float(v)) for v in fields.values()), row

@@ -120,10 +120,10 @@ class TestGenericOracles:
     def test_closed_forms_match_oracles(self, b):
         # the oracle takes the spin-flip roots as singular values, so no
         # square root of eigensolver noise enters even for rank-deficient
-        # states; they agree to about 1e-14
+        # states; they agree to about 1e-15
         m = block_to_matrix(b)
         rep = block_report(b)
-        assert rep.concurrence == pytest.approx(wootters_generic(m), abs=1e-8)
+        assert rep.concurrence == pytest.approx(wootters_generic(m), abs=1e-12)
         assert rep.negativity == pytest.approx(negativity_generic(m), abs=1e-10)
 
     @settings(max_examples=200)

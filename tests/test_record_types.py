@@ -31,7 +31,7 @@ SCALAR_RECORDS = [
     ),
     (
         AtomPairParams(gamma12=0.95, omega12=4.65, delta=-2.5),
-        "AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65, delta=-2.5, omega0=0.0)",
+        "AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65, delta=-2.5)",
     ),
     (TimeGrid(0.5, 6.0, 700), "TimeGrid(t_start=0.5, t_end=6.0, n_points=700)"),
     (

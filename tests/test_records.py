@@ -137,7 +137,7 @@ class TestSameBitsAsTheOracles:
 # first must be named
 
 N_POINTS = 9
-_VALID = (0.1, 0.3, 0.4, 0.05, 0.02, 0.01, 0.0)  # ree, rss, raa, Re ras, Im ras, Re reg, Im reg
+_VALID = (0.1, 0.3, 0.4, 0.05, 0.02, 0.01)  # ree, rss, raa, Re ras, Im ras, |reg|
 
 
 def _broken(column) -> np.ndarray:
@@ -149,8 +149,8 @@ def _broken(column) -> np.ndarray:
 
 
 BROKEN = {
-    # Im reg enters only the imaginary part of r12
-    "non-finite entry": [{4: math.nan}, {3: math.inf}, {5: -math.inf}, {6: math.inf}],
+    # a hand-made |reg| row may be negative: -inf is as non-finite as inf
+    "non-finite entry": [{4: math.nan}, {3: math.inf}, {5: -math.inf}, {5: math.inf}],
     "populations do not sum to 1": [{3: 1e8 + 0.1}],
     "negative population": [{0: -0.05, 1: 0.35}, {3: 0.4}, {3: -0.4}],
     # r11 r22 = 0.02 and r33 r44 = 0.12 in the valid rows; the second case of
@@ -188,7 +188,10 @@ VALID = {
     "ras_both_negative_zero": {3: -0.0, 4: -0.0},
     "re_ras_negative_zero": {3: -0.0, 4: 0.0},
     "im_ras_negative_zero": {3: 0.0, 4: -0.0},
-    "reg_negative_zero": {5: -0.0, 6: -0.0},
+    "reg_negative_zero": {5: -0.0},
+    # the oracle reads a negative |reg| row by its modulus; here the r12
+    # branch carries the concurrence
+    "reg_negative": {0: 0.4, 1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: -0.3},
     # a population just below 0, inside the tolerance: its product with the
     # other population of its block is clamped to 0 under the root
     "r33_slightly_negative": {0: 0.5, 1: 0.25, 2: 0.25, 3: 0.25 + 0.2e-9, 4: 0.0, 5: 0.0},
