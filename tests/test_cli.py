@@ -54,6 +54,15 @@ points = 3000
 """
 
 
+# every command with the options and positional argument its help lists
+_COMMAND_OPTIONS = {
+    "couplings": ("--x", "--mu-dot-r", "--gamma"),
+    "run": ("--scenario", "--out", "--x", "--mu-dot-r", "--delta", "--points", "--initial"),
+    "sweep": ("--scenario", "--axis", "--values", "--out", "--points"),
+    "figure": ("{fig2,fig3,fig4,fig5}", "--out", "--points"),
+}
+
+
 class TestScenarioParsing:
     def test_flat_format(self):
         s = parse_scenario(FIG2_SCENARIO)
@@ -372,6 +381,11 @@ class TestCommandLine:
         assert "gamma12 = 0.945968734" in out
         assert "omega12 = 4.65211096" in out
 
+    def test_last_of_a_repeated_option_wins(self, capsys):
+        argv = ["couplings", "--x", "-1", "--x=0.5235987755982988", "--gamma", "2", "--gamma", "1"]
+        assert main(argv) == EXIT_OK
+        assert "gamma12 = 0.945968734" in capsys.readouterr().out
+
     def test_couplings_small_separation(self, capsys):
         # unsummed, the near-field cancellation gives gamma12 > gamma here
         assert main(["couplings", "--x", "1e-5"]) == EXIT_OK
@@ -614,16 +628,26 @@ class TestCommandLine:
         assert "Traceback" not in proc.stderr
         assert "gamma12 = " in proc.stdout
 
-    def test_cli_import_leaves_scipy_unloaded(self):
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
+        # nor the argument parsing modules, before or after a whole sweep
+        argv = ["sweep", "--axis", "delta", "--values", "0,3", "--points", "50",
+                "--out", str(tmp_path / "sweep.csv")]
         code = (
-            f"import sys; sys.path.insert(0, {str(SRC)!r}); import twoatom.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"import sys; sys.path.insert(0, {str(SRC)!r}); import twoatom.cli\n"
+            "def loaded():\n"
+            "    names = ('scipy', 'argparse', 'gettext', 'locale')\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
+            "print(loaded())\n"
+            f"print(twoatom.cli.main({argv!r}), loaded())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == f"{EXIT_OK} []"
+        assert (tmp_path / "sweep.csv").exists()
 
     def test_invalid_values_exit_2(self, tmp_path):
         out = str(tmp_path / "out.csv")
@@ -649,8 +673,7 @@ class TestCommandLine:
         ],
     )
     def test_negative_values_need_no_equals_sign(self, tmp_path, capsys, spaced, joined):
-        # argparse reads "-1e5" or "-1,0" as an option unless it is joined
-        # to its option by "="
+        # the token after an option is its value, even when it starts with "-"
         results = []
         for argv in (spaced, joined):
             out = tmp_path / "out.csv"
@@ -662,6 +685,60 @@ class TestCommandLine:
         if joined[1:] == ["--x=-1e5"]:
             assert results[0][0] == EXIT_VALIDATION
             assert results[0][2] == "error: separation k0*r12 must be > 0, got -100000.0\n"
+
+    @pytest.mark.parametrize(
+        "argv,code,fresh",
+        [
+            *[pytest.param([*command, flag], EXIT_OK, False, id=" ".join([*command, flag]))
+              for command in ([], *([c] for c in _COMMAND_OPTIONS)) for flag in ("-h", "--help")],
+            pytest.param(["sweep", "--help"], EXIT_OK, True, id="sweep --help, fresh process"),
+            pytest.param([], EXIT_VALIDATION, False, id="no command"),
+            pytest.param(["frobnicate", "--out", "OUT"], EXIT_VALIDATION, False, id="unknown command"),
+            pytest.param(["run", "--bogus", "1", "--out", "OUT"], EXIT_VALIDATION, False,
+                         id="unknown option"),
+            pytest.param(["run", "--bogus", "1", "--out", "OUT"], EXIT_VALIDATION, True,
+                         id="unknown option, fresh process"),
+            pytest.param(["run", "--out"], EXIT_VALIDATION, False, id="missing value"),
+            pytest.param(["run", "--points", "20", "--out", "--x"], EXIT_VALIDATION, False,
+                         id="option name as a value"),
+            pytest.param(["sweep", "--axis", "delta", "--out", "OUT"], EXIT_VALIDATION, False,
+                         id="missing required option"),
+            pytest.param(["sweep", "--axis", "gamma", "--values", "0,1", "--out", "OUT"],
+                         EXIT_VALIDATION, False, id="bad axis"),
+            pytest.param(["figure", "fig9", "--out", "OUT"], EXIT_VALIDATION, False, id="bad figure"),
+            pytest.param(["run", "--points", "1.5", "--out", "OUT"], EXIT_VALIDATION, False,
+                         id="non-integer points"),
+            pytest.param(["couplings", "--x", "nan"], EXIT_VALIDATION, False, id="non-finite x"),
+        ],
+    )
+    def test_usage_contract(self, tmp_path, monkeypatch, capsys, argv, code, fresh):
+        # help lists every option of its command on stdout and exits 0; a
+        # usage error exits 2 with the usage line and writes no file
+        monkeypatch.chdir(tmp_path)
+        argv = ["out.csv" if a == "OUT" else a for a in argv]
+        if fresh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "twoatom.cli", *argv], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+            )
+            exit_code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            exit_code, (stdout, stderr) = exc.value.code, capsys.readouterr()
+        assert exit_code == code
+        assert list(tmp_path.iterdir()) == []
+        assert "Traceback" not in stderr
+        if code == EXIT_OK:
+            assert stderr == ""
+            assert stdout.startswith("usage: twoatom")
+            words = _COMMAND_OPTIONS[argv[0]] if argv[0] in _COMMAND_OPTIONS else _COMMAND_OPTIONS
+            for word in words:
+                assert f"\n  {word} " in stdout
+        else:
+            assert stdout == ""
+            assert stderr.startswith("usage: twoatom")
+            assert "\ntwoatom: error: " in stderr
 
     def test_load_scenario_round_trip(self, tmp_path):
         scen = tmp_path / "s.txt"
@@ -729,7 +806,47 @@ def _argvs(draw) -> tuple[list[str], list[str]]:
     return argv, joined
 
 
+_OPTION_NAMES = sorted({o for opts in _COMMAND_OPTIONS.values() for o in opts if o[0] == "-"})
+_TOKENS = st.one_of(
+    st.sampled_from([*_COMMAND_OPTIONS, *_OPTION_NAMES, "-h", "--help", "--", "-", "",
+                     "fig2", "fig9", "delta", "gamma", "atom1_excited", "out.csv", "0,1", "-1,0"]),
+    _NUMBERS.map(str),
+    st.integers(-1, 60).map(str),
+    # no path separator: a value after --out or --scenario stays in the cwd
+    st.text(st.characters(blacklist_characters="/\\"), max_size=8),
+    st.builds("{}={}".format, st.sampled_from(_OPTION_NAMES),
+              st.one_of(_NUMBERS.map(str), st.sampled_from(["", "x", "fig2", "out.csv"]))),
+)
+
+
+@st.composite
+def _any_argvs(draw) -> list[str]:
+    """Token lists, most of them led by a command name."""
+    head = draw(st.one_of(st.sampled_from(list(_COMMAND_OPTIONS)), _TOKENS))
+    return [head, *draw(st.lists(_TOKENS, max_size=8))]
+
+
 class TestFuzz:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_any_argvs())
+    def test_any_argv_exits_with_a_documented_code(self, argv):
+        # whatever the tokens, main returns an exit code or raises SystemExit
+        # for help or a usage error; a CSV is left only on success
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                try:
+                    code = main(argv)
+                    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+                except SystemExit as exc:
+                    code = exc.code
+                    assert code in (EXIT_OK, EXIT_VALIDATION)
+                if code != EXIT_OK:
+                    assert os.listdir(tmp) == []
+            finally:
+                os.chdir(cwd)
+
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(text=_scenario_texts(), argvs=_argvs())
     def test_main_exits_with_a_documented_code(self, text, argvs):
@@ -741,7 +858,7 @@ class TestFuzz:
             for args in (joined, argv) if argv != joined else (argv,):
                 try:
                     code = main([*args, "--scenario", str(scen), "--out", str(out)])
-                except SystemExit as exc:  # argparse's usage errors
+                except SystemExit as exc:  # usage errors
                     code = exc.code
                 csv_text = None
                 if out.exists():
