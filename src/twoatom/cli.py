@@ -15,14 +15,20 @@ built from the table and exits 0. A usage error prints the usage line and
 command runs. The table stands in for argparse because importing argparse,
 with the gettext and locale modules it loads, cost a few milliseconds of
 every process.
+
+An option of ``run`` or ``sweep`` named like a scenario-file key
+(``--mu-dot-r`` is ``mu_dot_r``) overrides that key of the scenario file
+through ``scenarios.with_keys``, the function that applies the file's keys.
 """
 from __future__ import annotations
 
 import sys
 
 from .couplings import Geometry, GeometryError, rates_from_geometry
-from .dynamics import DickeSingularityError, InvariantError, TimeGrid
+from .dynamics import DickeSingularityError, InvariantError
 from .scenarios import (
+    FIGURE_SCENARIOS,
+    SCENARIO_KEYS,
     SWEEP_AXES,
     Scenario,
     figure_rows,
@@ -32,6 +38,7 @@ from .scenarios import (
     scenario_columns,
     sweep,
     sweep_table,
+    with_keys,
     write_csv,
 )
 
@@ -52,41 +59,6 @@ def _option(about, convert=str, choices=None, required=False, default=None):
     return convert, choices, required, default, about
 
 
-_POINTS = _option("grid points over the scenario's time span", int)
-
-# command -> (help, {name: (convert, choices, required, default, help)}); a
-# name without leading dashes is a positional argument
-COMMANDS = {
-    "couplings": ("collective rates from the geometry", {
-        "--x": _option("separation k0*r12", finite_float, required=True),
-        "--mu-dot-r": _option("cosine of the dipole-axis angle (default 0)", finite_float,
-                              default=0.0),
-        "--gamma": _option("single-atom decay rate (default 1)", finite_float, default=1.0),
-    }),
-    "run": ("run a scenario and write a trajectory CSV", {
-        "--scenario": _option("scenario file (key = value format)"),
-        "--out": _option("output CSV path", required=True),
-        "--x": _option("separation k0*r12", finite_float),
-        "--mu-dot-r": _option("cosine of the dipole-axis angle", finite_float),
-        "--delta": _option("half the transition-frequency difference", finite_float),
-        "--points": _POINTS,
-        "--initial": _option("initial state name when no scenario file is given"),
-    }),
-    "sweep": ("summary table over one parameter axis", {
-        "--scenario": _option("base scenario file"),
-        "--axis": _option("swept parameter", choices=SWEEP_AXES, required=True),
-        "--values": _option("comma-separated axis values", required=True),
-        "--out": _option("output CSV path", required=True),
-        "--points": _POINTS,
-    }),
-    "figure": ("emit the data for one of the canned figures", {
-        "name": _option("canned figure", choices=("fig2", "fig3", "fig4", "fig5"), required=True),
-        "--out": _option("output CSV path", required=True),
-        "--points": _option("grid points over the figure's time span", int),
-    }),
-}
-
-
 def _dest(name: str) -> str:
     """The key of an option in the parsed arguments: ``--mu-dot-r`` as ``mu_dot_r``."""
     return name.lstrip("-").replace("-", "_")
@@ -102,7 +74,7 @@ def _usage(command: str | None) -> str:
     if command is None:
         return "usage: twoatom [-h] {" + ",".join(COMMANDS) + "} ..."
     words = [f"usage: twoatom {command} [-h]"]
-    for name, (_, choices, required, _, _) in COMMANDS[command][1].items():
+    for name, (_, choices, required, _, _) in COMMANDS[command][2].items():
         words.append(_syntax(name, choices) if required else f"[{_syntax(name, choices)}]")
     return " ".join(words)
 
@@ -110,9 +82,9 @@ def _usage(command: str | None) -> str:
 def _help(command: str | None) -> str:
     if command is None:
         text, title = _DESCRIPTION, "commands (twoatom <command> --help for its options)"
-        rows = [(name, about) for name, (about, _) in COMMANDS.items()]
+        rows = [(name, about) for name, (_, about, _) in COMMANDS.items()]
     else:
-        (text, options), title = COMMANDS[command], "options"
+        (_, text, options), title = COMMANDS[command], "options"
         rows = [("-h, --help", "show this help and exit")]
         rows += [(_syntax(name, choices), about)
                  for name, (_, choices, _, _, about) in options.items()]
@@ -139,7 +111,7 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
     if command not in COMMANDS:
         _fail(None, f"argument command: invalid choice: {command!r} "
                     f"(choose from {', '.join(map(repr, COMMANDS))})")
-    options = COMMANDS[command][1]
+    options = COMMANDS[command][2]
     positionals = [name for name in options if name[0] != "-"]
     given, extras = {}, []
     for token in tokens:
@@ -178,18 +150,6 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
     }
 
 
-def _scenario_from_args(args: dict) -> Scenario:
-    s = load_scenario(args["scenario"]) if args["scenario"] else Scenario()
-    overrides = {
-        key: args[key]
-        for key in ("initial", "x", "mu_dot_r", "delta")
-        if args.get(key) is not None
-    }
-    if args["points"] is not None:
-        overrides["grid"] = TimeGrid(s.grid.t_start, s.grid.t_end, args["points"])
-    return s._replace(**overrides) if overrides else s
-
-
 def _cmd_couplings(args) -> int:
     rates = rates_from_geometry(Geometry(args["x"], args["mu_dot_r"]), args["gamma"])
     print(f"gamma = {rates.gamma:.12g}")
@@ -199,7 +159,7 @@ def _cmd_couplings(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    s = _scenario_from_args(args)
+    s = args["scenario"]
     traj = run_scenario(s)
     write_csv(args["out"], {c: getattr(traj, c) for c in scenario_columns(s)})
     print(f"wrote {len(traj.t)} records to {args['out']}")
@@ -207,7 +167,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    s = _scenario_from_args(args)
+    s = args["scenario"]
     values = [finite_float(v, "sweep value") for v in args["values"].split(",") if v.strip()]
     if not values:
         raise ValueError("no sweep values given")
@@ -224,16 +184,51 @@ def _cmd_figure(args) -> int:
     return EXIT_OK
 
 
+_POINTS = _option("grid points over the scenario's time span", int)
+
+# command -> (handler, help, {name: (convert, choices, required, default, help)});
+# a name without leading dashes is a positional argument
+COMMANDS = {
+    "couplings": (_cmd_couplings, "collective rates from the geometry", {
+        "--x": _option("separation k0*r12", finite_float, required=True),
+        "--mu-dot-r": _option("cosine of the dipole-axis angle (default 0)", finite_float,
+                              default=0.0),
+        "--gamma": _option("single-atom decay rate (default 1)", finite_float, default=1.0),
+    }),
+    "run": (_cmd_run, "run a scenario and write a trajectory CSV", {
+        "--scenario": _option("scenario file (key = value format)"),
+        "--out": _option("output CSV path", required=True),
+        "--x": _option("separation k0*r12", finite_float),
+        "--mu-dot-r": _option("cosine of the dipole-axis angle", finite_float),
+        "--delta": _option("half the transition-frequency difference", finite_float),
+        "--points": _POINTS,
+        "--initial": _option("initial state name when no scenario file is given"),
+    }),
+    "sweep": (_cmd_sweep, "summary table over one parameter axis", {
+        "--scenario": _option("base scenario file"),
+        "--axis": _option("swept parameter", choices=SWEEP_AXES, required=True),
+        "--values": _option("comma-separated axis values", required=True),
+        "--out": _option("output CSV path", required=True),
+        "--points": _POINTS,
+    }),
+    "figure": (_cmd_figure, "emit the data for one of the canned figures", {
+        "name": _option("canned figure", choices=tuple(FIGURE_SCENARIOS), required=True),
+        "--out": _option("output CSV path", required=True),
+        "--points": _option("grid points over the figure's time span", int),
+    }),
+}
+
+
 def main(argv=None) -> int:
     command, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-    handlers = {
-        "couplings": _cmd_couplings,
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "figure": _cmd_figure,
-    }
     try:
-        return handlers[command](args)
+        if "scenario" in args:
+            # run and sweep: the scenario file (or the defaults), then every
+            # option named like one of its keys
+            s = load_scenario(args["scenario"]) if args["scenario"] else Scenario()
+            keys = {k: v for k, v in args.items() if k in SCENARIO_KEYS and v is not None}
+            args["scenario"] = with_keys(s, **keys)
+        return COMMANDS[command][0](args)
     except (GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

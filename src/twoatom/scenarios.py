@@ -416,7 +416,7 @@ def figure_rows(name: str, points: int | None = None) -> dict[str, np.ndarray]:
         raise ValueError(f"unknown figure {name!r}; expected {sorted(FIGURE_SCENARIOS)}")
     s = FIGURE_SCENARIOS[name]
     if points is not None:
-        s = s._replace(grid=TimeGrid(s.grid.t_start, s.grid.t_end, points))
+        s = with_keys(s, points=points)
     traj = run_scenario(s)
     values = {
         "t": traj.t,
@@ -483,31 +483,45 @@ def finite_float(text: str, name: str = "value") -> float:
     return value
 
 
-_SCENARIO_FLOAT_KEYS = {
-    "x",
-    "mu_dot_r",
-    "gamma",
-    "gamma12",
-    "omega12",
-    "delta",
-    "t_start",
-    "t_end",
+def _outputs(text: str, key: str) -> tuple[str, ...]:
+    names = tuple(n.strip() for n in text.split(",") if n.strip())
+    unknown = set(names) - set(ALL_OUTPUTS)
+    if unknown:
+        raise ValueError(f"unknown outputs {sorted(unknown)}")
+    return names
+
+
+# every scenario-file key, with the converter of its text, called as
+# convert(text, key); ``with_keys`` applies the converted values
+SCENARIO_KEYS = {
+    "initial": lambda text, key: text,
+    "outputs": _outputs,
+    "points": lambda text, key: int(text),
+    **dict.fromkeys(
+        ("x", "mu_dot_r", "gamma", "gamma12", "omega12", "delta", "t_start", "t_end",
+         "r11", "r22", "r33", "r44", "r12_re", "r12_im", "r34_re", "r34_im"),
+        finite_float,
+    ),
 }
-_CUSTOM_KEYS = {
-    "r11",
-    "r22",
-    "r33",
-    "r44",
-    "r12_re",
-    "r12_im",
-    "r34_re",
-    "r34_im",
-}
+
+# the keys that set the time grid, and the TimeGrid field each one sets
+_GRID_KEYS = {"t_start": "t_start", "t_end": "t_end", "points": "n_points"}
+
+
+def with_keys(s: Scenario, **keys) -> Scenario:
+    """The scenario with converted scenario-file keys applied: ``t_start``,
+    ``t_end`` and ``points`` through ``TimeGrid._replace``, which checks
+    them, and every other key to the scenario field of its name."""
+    grid = {field: keys.pop(key) for key, field in _GRID_KEYS.items() if key in keys}
+    if grid:
+        keys["grid"] = s.grid._replace(**grid)
+    return s._replace(**keys)
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse the flat ``key = value`` scenario format."""
-    raw: dict[str, str] = {}
+    """Parse the flat ``key = value`` scenario format: each key of
+    SCENARIO_KEYS at most once, applied to ``Scenario()``."""
+    keys: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -515,40 +529,20 @@ def parse_scenario(text: str) -> Scenario:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in raw:
+        if key in keys:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
-
-    kwargs: dict = {}
-    if "initial" in raw:
-        kwargs["initial"] = raw.pop("initial")
-    grid_args = {
-        "t_start": 0.0,
-        "t_end": 3.0,
-        "n_points": 3000,
-    }
-    if "points" in raw:
-        grid_args["n_points"] = int(raw.pop("points"))
-    custom: dict[str, float] = {}
-    for key, value in raw.items():
-        if key in _CUSTOM_KEYS:
-            custom[key] = finite_float(value, key)
-        elif key in ("t_start", "t_end"):
-            grid_args[key] = finite_float(value, key)
-        elif key in _SCENARIO_FLOAT_KEYS:
-            kwargs[key] = finite_float(value, key)
-        elif key == "outputs":
-            names = tuple(n.strip() for n in value.split(",") if n.strip())
-            unknown = set(names) - set(ALL_OUTPUTS)
-            if unknown:
-                raise ValueError(f"unknown outputs {sorted(unknown)}")
-            kwargs["outputs"] = names
-        else:
+        keys[key] = value
+    for key, value in keys.items():
+        if key not in SCENARIO_KEYS:
             raise ValueError(f"unknown scenario key {key!r}")
-    kwargs["grid"] = TimeGrid(**grid_args)
-    if kwargs.get("initial") == "custom" or custom:
-        kwargs.setdefault("initial", "custom")
-        kwargs["custom_state"] = BlockState(
+        keys[key] = SCENARIO_KEYS[key](value, key)
+    # a key that names no field of the scenario or its grid is a custom entry
+    custom = {
+        k: keys.pop(k) for k in list(keys) if k not in Scenario._fields and k not in _GRID_KEYS
+    }
+    if keys.get("initial") == "custom" or custom:
+        keys.setdefault("initial", "custom")
+        keys["custom_state"] = BlockState(
             r11=custom.get("r11", 0.0),
             r22=custom.get("r22", 0.0),
             r33=custom.get("r33", 0.0),
@@ -556,7 +550,7 @@ def parse_scenario(text: str) -> Scenario:
             r12=complex(custom.get("r12_re", 0.0), custom.get("r12_im", 0.0)),
             r34=complex(custom.get("r34_re", 0.0), custom.get("r34_im", 0.0)),
         )
-    return Scenario(**kwargs)
+    return with_keys(Scenario(), **keys)
 
 
 def load_scenario(path) -> Scenario:

@@ -96,17 +96,19 @@ class Diagnostics(NamedTuple):
         return self.hermitian and self.unit_trace and self.positive
 
 
-def block_to_matrix(b: BlockState) -> np.ndarray:
-    """Embed the block entries into the full 4x4 product-basis matrix."""
+def block_to_matrix(b: BlockState | BellState4) -> np.ndarray:
+    """Embed the block entries into the full 4x4 matrix, by position: a
+    BellState4, which has the same layout, embeds in the Bell basis."""
+    r11, r22, r33, r44, r12, r34 = b
     m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = b.r11
-    m[1, 1] = b.r22
-    m[2, 2] = b.r33
-    m[3, 3] = b.r44
-    m[0, 1] = b.r12
-    m[1, 0] = np.conj(b.r12)
-    m[2, 3] = b.r34
-    m[3, 2] = np.conj(b.r34)
+    m[0, 0] = r11
+    m[1, 1] = r22
+    m[2, 2] = r33
+    m[3, 3] = r44
+    m[0, 1] = r12
+    m[1, 0] = np.conj(r12)
+    m[2, 3] = r34
+    m[3, 2] = np.conj(r34)
     return m
 
 
@@ -120,19 +122,6 @@ def matrix_to_block(m: np.ndarray) -> BlockState:
         r12=complex(m[0, 1]),
         r34=complex(m[2, 3]),
     )
-
-
-def bell_to_matrix(p: BellState4) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = p.p11
-    m[1, 1] = p.p22
-    m[2, 2] = p.p33
-    m[3, 3] = p.p44
-    m[0, 1] = p.p12
-    m[1, 0] = np.conj(p.p12)
-    m[2, 3] = p.p34
-    m[3, 2] = np.conj(p.p34)
-    return m
 
 
 def to_bell(b: BlockState) -> BellState4:
@@ -163,7 +152,7 @@ def _bell_block(ra: float, rb: float, coh: complex):
 
 def from_bell(p: BellState4) -> BlockState:
     """Exact inverse of :func:`to_bell`."""
-    m = U_BELL.conj().T @ bell_to_matrix(p) @ U_BELL
+    m = U_BELL.conj().T @ block_to_matrix(p) @ U_BELL
     return matrix_to_block(m)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -31,6 +32,7 @@ from twoatom.scenarios import (
     parse_scenario,
     run_scenario,
     sweep,
+    with_keys,
     write_csv,
 )
 from twoatom.statespace import (
@@ -42,6 +44,14 @@ from twoatom.statespace import (
 )
 
 SRC = Path(twoatom.__file__).resolve().parents[1]
+
+
+def _fresh_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m twoatom.cli ARGV`` in a fresh process, with the source on its path."""
+    return subprocess.run(
+        [sys.executable, "-m", "twoatom.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+    )
 
 FIG2_SCENARIO = """
 # one atom excited, sixth-wavelength separation
@@ -427,6 +437,17 @@ class TestCommandLine:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 51
 
+    def test_points_option_keeps_the_files_time_span(self, tmp_path):
+        scen = tmp_path / "s.txt"
+        scen.write_text("t_start = 0.5\nt_end = 2\npoints = 40\n")
+        grid = TimeGrid(0.5, 2.0, 20)
+        assert with_keys(load_scenario(scen), points=20).grid == grid
+        out = tmp_path / "out.csv"
+        code = main(["run", "--scenario", str(scen), "--points", "20", "--out", str(out)])
+        assert code == EXIT_OK
+        t = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
+        assert t == grid.times().tolist()
+
     def test_run_missing_scenario_file(self, tmp_path):
         code = main(["run", "--scenario", str(tmp_path / "nope.txt"), "--out", "x.csv"])
         assert code == EXIT_VALIDATION
@@ -537,11 +558,7 @@ class TestCommandLine:
         if scenario is not None:
             (tmp_path / "s.txt").write_text(scenario)
             argv += ["--scenario", str(tmp_path / "s.txt")]
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "twoatom.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _fresh_cli(*argv)
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
@@ -551,12 +568,7 @@ class TestCommandLine:
         scen = tmp_path / "s.txt"
         scen.write_text("initial = custom\nr33 = 0.5\nr44 = 0.5\nr34_re = 1e300\n")
         out = tmp_path / "out.csv"
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "twoatom.cli", "run", "--scenario", str(scen),
-             "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _fresh_cli("run", "--scenario", str(scen), "--out", str(out))
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
@@ -566,11 +578,7 @@ class TestCommandLine:
         # expm squares about 650 times and overflows to inf and NaN; the
         # non-finite check refuses the trajectory without numpy warnings
         out = tmp_path / "out.csv"
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "twoatom.cli", "run", "--delta=1e200", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _fresh_cli("run", "--delta=1e200", "--out", str(out))
         assert proc.returncode == EXIT_NUMERICAL, proc.stderr
         assert proc.stderr.startswith("numerical failure: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
@@ -593,11 +601,7 @@ class TestCommandLine:
             (tmp_path / "s.txt").write_text(scenario)
             argv = [*argv, "--scenario", str(tmp_path / "s.txt")]
         out = tmp_path / "out.csv"
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "twoatom.cli", "run", *argv, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _fresh_cli("run", *argv, "--out", str(out))
         assert proc.returncode == EXIT_NUMERICAL, proc.stderr
         assert proc.stderr.startswith("numerical failure: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
@@ -608,22 +612,14 @@ class TestCommandLine:
         scen = tmp_path / "s.txt"
         scen.write_text("gamma = 1.7e308\npoints = 20\n")
         out = tmp_path / "out.csv"
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "twoatom.cli", "sweep", "--scenario", str(scen),
-             "--axis", "delta", "--values=0,1", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _fresh_cli("sweep", "--scenario", str(scen), "--axis", "delta", "--values=0,1",
+                          "--out", str(out))
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stderr == ""
         assert all(r.endswith('must be finite, got inf"') for r in out.read_text().splitlines()[1:])
 
     def test_huge_separation_in_a_fresh_process(self):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        proc = subprocess.run(
-            [sys.executable, "-m", "twoatom.cli", "couplings", "--x", "1e308"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _fresh_cli("couplings", "--x", "1e308")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "gamma12 = " in proc.stdout
@@ -717,10 +713,7 @@ class TestCommandLine:
         monkeypatch.chdir(tmp_path)
         argv = ["out.csv" if a == "OUT" else a for a in argv]
         if fresh:
-            proc = subprocess.run(
-                [sys.executable, "-m", "twoatom.cli", *argv], capture_output=True, text=True,
-                env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
-            )
+            proc = _fresh_cli(*argv)
             exit_code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
         else:
             with pytest.raises(SystemExit) as exc:
@@ -826,6 +819,17 @@ def _any_argvs(draw) -> list[str]:
     return [head, *draw(st.lists(_TOKENS, max_size=8))]
 
 
+# values of the keys that are also run options, each written the same way
+# in a file and on the command line; some are invalid, none is unparseable
+_OPTION_KEY_VALUES = {
+    "initial": st.sampled_from(sorted(scenarios.INITIAL_STATES)),
+    "x": st.one_of(st.floats(-2.0, 20.0), st.sampled_from([1e-5, 1e5])),
+    "mu_dot_r": st.floats(-1.5, 1.5),
+    "delta": st.one_of(st.floats(-20.0, 20.0), st.sampled_from([3.7e18, 1e200])),
+    "points": st.one_of(st.integers(-1, 60), st.just(100001)),
+}
+
+
 class TestFuzz:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(argv=_any_argvs())
@@ -879,3 +883,22 @@ class TestFuzz:
             fields = dict(zip(header, row))
             if fields.pop("error", "") == "":
                 assert all(math.isfinite(float(v)) for v in fields.values()), row
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(keys=st.fixed_dictionaries({}, optional=_OPTION_KEY_VALUES))
+    def test_scenario_file_and_options_agree(self, keys):
+        # a key given in a file or as the option of its name runs the same
+        texts = {key: str(value) for key, value in keys.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            scen, out = Path(tmp) / "s.txt", Path(tmp) / "out.csv"
+            scen.write_text("".join(f"{k} = {v}\n" for k, v in texts.items()), encoding="utf-8")
+            options = [a for k, v in texts.items() for a in ("--" + k.replace("_", "-"), v)]
+            results = []
+            for argv in (["--scenario", str(scen)], options):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(["run", *argv, "--out", str(out)])
+                csv_bytes = out.read_bytes() if out.exists() else None
+                out.unlink(missing_ok=True)
+                results.append((code, stdout.getvalue(), stderr.getvalue(), csv_bytes))
+        assert results[0] == results[1]

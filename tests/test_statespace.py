@@ -8,7 +8,6 @@ from twoatom.statespace import (
     BellState4,
     BlockState,
     U_BELL,
-    bell_to_matrix,
     block_to_matrix,
     block_violation,
     check_block,
@@ -107,7 +106,7 @@ class TestCollectiveTransforms:
     @given(block_states())
     def test_trace_and_spectrum_preserved(self, b):
         m = block_to_matrix(b)
-        mb = bell_to_matrix(to_bell(b))
+        mb = block_to_matrix(to_bell(b))
         assert abs(np.trace(mb) - np.trace(m)) < 1e-12
         sm = np.sort(np.linalg.eigvalsh(m))
         sb = np.sort(np.linalg.eigvalsh(mb))
