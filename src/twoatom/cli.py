@@ -202,7 +202,8 @@ COMMANDS = {
         "--mu-dot-r": _option("cosine of the dipole-axis angle", finite_float),
         "--delta": _option("half the transition-frequency difference", finite_float),
         "--points": _POINTS,
-        "--initial": _option("initial state name when no scenario file is given"),
+        "--initial": _option("initial state, overriding the scenario file's: a preset name, "
+                             "or custom for the file's entries"),
     }),
     "sweep": (_cmd_sweep, "summary table over one parameter axis", {
         "--scenario": _option("base scenario file"),

@@ -31,13 +31,16 @@ from .statespace import (
     to_collective,
 )
 
-ALL_OUTPUTS = (
-    "concurrence",
-    "negativity",
-    "populations",
-    "coherences",
-    "s_squared",
-)
+# the output groups ``twoatom run`` can write, each with its CSV columns
+_OUTPUT_COLUMNS = {
+    "concurrence": ("concurrence",),
+    "negativity": ("negativity",),
+    "populations": ("rho_ee", "rho_ss", "rho_aa", "rho_gg"),
+    "coherences": ("re_rho_as", "im_rho_as"),
+    "s_squared": ("s_squared",),
+}
+
+ALL_OUTPUTS = tuple(_OUTPUT_COLUMNS)
 
 INITIAL_STATES = {
     "atom1_excited": BlockState(r44=1.0),
@@ -49,10 +52,10 @@ INITIAL_STATES = {
 
 class Scenario(NamedTuple):
     """One run's inputs; a named tuple, so ``s._replace(delta=1.0)`` makes a
-    changed copy."""
+    changed copy.  ``initial`` is the initial state: a name from
+    INITIAL_STATES or a custom ``BlockState``."""
 
-    initial: str = "atom1_excited"
-    custom_state: BlockState | None = None
+    initial: str | BlockState = "atom1_excited"
     x: float = math.pi / 6
     mu_dot_r: float = 0.0
     gamma: float = 1.0
@@ -63,15 +66,13 @@ class Scenario(NamedTuple):
     outputs: tuple[str, ...] = ALL_OUTPUTS
 
     def initial_block(self) -> BlockState:
-        if self.initial == "custom":
-            if self.custom_state is None:
-                raise ValueError("custom initial state requires explicit entries")
-            b = self.custom_state
-        else:
-            try:
-                b = INITIAL_STATES[self.initial]
-            except KeyError:
-                raise ValueError(f"unknown initial state {self.initial!r}") from None
+        b = self.initial
+        if b == "custom":
+            raise ValueError("custom initial state requires explicit entries")
+        if isinstance(b, str):
+            if b not in INITIAL_STATES:
+                raise ValueError(f"unknown initial state {b!r}")
+            b = INITIAL_STATES[b]
         check_block(b)
         return b
 
@@ -100,15 +101,6 @@ class Trajectory(NamedTuple):
     re_rho_as: np.ndarray
     im_rho_as: np.ndarray
     s_squared: np.ndarray
-
-
-_OUTPUT_COLUMNS = {
-    "concurrence": ("concurrence",),
-    "negativity": ("negativity",),
-    "populations": ("rho_ee", "rho_ss", "rho_aa", "rho_gg"),
-    "coherences": ("re_rho_as", "im_rho_as"),
-    "s_squared": ("s_squared",),
-}
 
 
 # Rows of a record workspace (see ``record_from_state``): four contiguous
@@ -406,6 +398,15 @@ FIGURE_COLUMNS = {
     "fig5": ("t", "C", "aa_minus_ss", "aa_plus_ss"),
 }
 
+_FIGURE_VALUES = {
+    "t": lambda traj: traj.t,
+    "C": lambda traj: traj.concurrence,
+    "N": lambda traj: traj.negativity,
+    "aa_minus_ss": lambda traj: traj.rho_aa - traj.rho_ss,
+    "aa_plus_ss": lambda traj: traj.rho_aa + traj.rho_ss,
+    "rho_aa": lambda traj: traj.rho_aa,
+}
+
 
 def figure_rows(name: str, points: int | None = None) -> dict[str, np.ndarray]:
     """The columns of one of the canned figures, by header.
@@ -418,15 +419,7 @@ def figure_rows(name: str, points: int | None = None) -> dict[str, np.ndarray]:
     if points is not None:
         s = with_keys(s, points=points)
     traj = run_scenario(s)
-    values = {
-        "t": traj.t,
-        "C": traj.concurrence,
-        "N": traj.negativity,
-        "aa_minus_ss": traj.rho_aa - traj.rho_ss,
-        "aa_plus_ss": traj.rho_aa + traj.rho_ss,
-        "rho_aa": traj.rho_aa,
-    }
-    return {c: values[c] for c in FIGURE_COLUMNS[name]}
+    return {c: _FIGURE_VALUES[c](traj) for c in FIGURE_COLUMNS[name]}
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +433,8 @@ def _csv_field(text: str) -> str:
     return text
 
 
-# rows formatted per write: bounds the text held at once at MAX_POINTS rows
-_CSV_CHUNK = 2048
+# rows formatted per write: a chunk stays below glibc's 128 KB mmap threshold
+_CSV_CHUNK = 256
 
 
 def write_csv(path, table) -> None:
@@ -491,6 +484,9 @@ def _outputs(text: str, key: str) -> tuple[str, ...]:
     return names
 
 
+# the keys that set entries of a custom initial state's two blocks
+_ENTRY_KEYS = ("r11", "r22", "r33", "r44", "r12_re", "r12_im", "r34_re", "r34_im")
+
 # every scenario-file key, with the converter of its text, called as
 # convert(text, key); ``with_keys`` applies the converted values
 SCENARIO_KEYS = {
@@ -499,7 +495,7 @@ SCENARIO_KEYS = {
     "points": lambda text, key: int(text),
     **dict.fromkeys(
         ("x", "mu_dot_r", "gamma", "gamma12", "omega12", "delta", "t_start", "t_end",
-         "r11", "r22", "r33", "r44", "r12_re", "r12_im", "r34_re", "r34_im"),
+         *_ENTRY_KEYS),
         finite_float,
     ),
 }
@@ -511,7 +507,23 @@ _GRID_KEYS = {"t_start": "t_start", "t_end": "t_end", "points": "n_points"}
 def with_keys(s: Scenario, **keys) -> Scenario:
     """The scenario with converted scenario-file keys applied: ``t_start``,
     ``t_end`` and ``points`` through ``TimeGrid._replace``, which checks
-    them, and every other key to the scenario field of its name."""
+    them; the entries ``r11`` ... ``r34_im`` to the scenario's custom initial
+    state, or to the all-zero state if it has none (``initial = custom``
+    keeps that state, a preset name with entries raises ValueError); every
+    other key to the scenario field of its name."""
+    entries = {key: keys.pop(key) for key in _ENTRY_KEYS if key in keys}
+    own = s.initial if isinstance(s.initial, BlockState) else None
+    if keys.get("initial") == "custom" and (entries or own):
+        del keys["initial"]
+    if entries:
+        if "initial" in keys:
+            raise ValueError(f"initial state {keys['initial']!r} given together with "
+                             f"custom entries {', '.join(entries)}")
+        b = own or BlockState()
+        v = [*b[:4], b.r12.real, b.r12.imag, b.r34.real, b.r34.imag]
+        for key, value in entries.items():
+            v[_ENTRY_KEYS.index(key)] = value
+        keys["initial"] = BlockState(*v[:4], complex(*v[4:6]), complex(*v[6:]))
     grid = {field: keys.pop(key) for key, field in _GRID_KEYS.items() if key in keys}
     if grid:
         keys["grid"] = s.grid._replace(**grid)
@@ -536,20 +548,6 @@ def parse_scenario(text: str) -> Scenario:
         if key not in SCENARIO_KEYS:
             raise ValueError(f"unknown scenario key {key!r}")
         keys[key] = SCENARIO_KEYS[key](value, key)
-    # a key that names no field of the scenario or its grid is a custom entry
-    custom = {
-        k: keys.pop(k) for k in list(keys) if k not in Scenario._fields and k not in _GRID_KEYS
-    }
-    if keys.get("initial") == "custom" or custom:
-        keys.setdefault("initial", "custom")
-        keys["custom_state"] = BlockState(
-            r11=custom.get("r11", 0.0),
-            r22=custom.get("r22", 0.0),
-            r33=custom.get("r33", 0.0),
-            r44=custom.get("r44", 0.0),
-            r12=complex(custom.get("r12_re", 0.0), custom.get("r12_im", 0.0)),
-            r34=complex(custom.get("r34_re", 0.0), custom.get("r34_im", 0.0)),
-        )
     return with_keys(Scenario(), **keys)
 
 

@@ -31,6 +31,7 @@ from twoatom.scenarios import (
     load_scenario,
     parse_scenario,
     run_scenario,
+    scenario_columns,
     sweep,
     with_keys,
     write_csv,
@@ -80,10 +81,13 @@ class TestScenarioParsing:
         assert s.x == pytest.approx(math.pi / 6)
         assert s.grid == TimeGrid(0.0, 3.0, 3000)
 
-    def test_custom_state(self):
-        s = parse_scenario("initial = custom\nr33 = 0.5\nr44 = 0.5\nr34_re = -0.5\n")
-        b = s.initial_block()
-        assert b.r34 == -0.5
+    def test_custom_entries(self):
+        # the entries make the initial state, with or without initial = custom
+        for head in ("initial = custom\n", ""):
+            s = parse_scenario(head + "r33 = 0.5\nr44 = 0.5\nr34_re = -0.5\n")
+            b = s.initial_block()
+            assert b.r34 == -0.5
+            assert s.initial == BlockState(r33=0.5, r44=0.5, r34=-0.5 + 0j)
 
     def test_rate_overrides_win_over_geometry(self):
         s = parse_scenario("gamma12 = 0.5\nomega12 = 2.0\nx = 0.1\n")
@@ -100,6 +104,7 @@ class TestScenarioParsing:
             "delta = nan\n",
             "t_end = inf\n",
             "r44 = -inf\n",
+            "initial = atom1_excited\nr44 = 1\n",
         ],
     )
     def test_rejects_malformed(self, text):
@@ -109,6 +114,13 @@ class TestScenarioParsing:
     def test_unknown_initial_rejected_at_run(self):
         with pytest.raises(ValueError):
             parse_scenario("initial = half_excited\n").initial_block()
+
+    def test_an_entry_changes_only_that_entry_of_a_custom_initial_state(self):
+        b = BlockState(r11=0.25, r22=0.125, r33=0.25, r44=0.375, r12=0.1 - 0.05j, r34=0.2j)
+        s = Scenario(initial=b, delta=1.5)
+        assert with_keys(s, r44=0.5) == s._replace(initial=b._replace(r44=0.5))
+        assert with_keys(s, r12_im=0.3) == s._replace(initial=b._replace(r12=0.1 + 0.3j))
+        assert with_keys(s, initial="custom") == s
 
 
 class TestRunScenario:
@@ -447,6 +459,38 @@ class TestCommandLine:
         assert code == EXIT_OK
         t = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
         assert t == grid.times().tolist()
+
+    @pytest.mark.parametrize("initial", ["custom", "symmetric"])
+    def test_initial_option_over_a_files_entries(self, tmp_path, initial):
+        # --initial custom runs the file's entries, a preset name the preset
+        scen, out, want = tmp_path / "s.txt", tmp_path / "out.csv", tmp_path / "want.csv"
+        scen.write_text("initial = custom\nr11 = 0.5\nr22 = 0.5\nr12_re = 0.5\n")
+        code = main(["run", "--scenario", str(scen), "--initial", initial, "--out", str(out)])
+        assert code == EXIT_OK
+        state = BlockState(r11=0.5, r22=0.5, r12=0.5 + 0j) if initial == "custom" else initial
+        traj = run_scenario(Scenario(initial=state))
+        write_csv(want, {c: getattr(traj, c) for c in scenario_columns(Scenario())})
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "text,argv,message",
+        [
+            ("initial = custom\n", [], "custom initial state requires explicit entries"),
+            ("", ["--initial", "custom"], "custom initial state requires explicit entries"),
+            ("initial = atom1_excited\nr44 = 1\n", [],
+             "initial state 'atom1_excited' given together with custom entries r44"),
+        ],
+        ids=["initial_custom_alone", "option_custom_alone", "preset_with_an_entry"],
+    )
+    def test_initial_state_faults_exit_2_with_one_message(self, tmp_path, text, argv, message):
+        scen, out = tmp_path / "s.txt", tmp_path / "out.csv"
+        scen.write_text(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", "--scenario", str(scen), *argv, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert stderr.getvalue() == f"error: {message}\n"
+        assert not out.exists()
 
     def test_run_missing_scenario_file(self, tmp_path):
         code = main(["run", "--scenario", str(tmp_path / "nope.txt"), "--out", "x.csv"])
@@ -822,7 +866,7 @@ def _any_argvs(draw) -> list[str]:
 # values of the keys that are also run options, each written the same way
 # in a file and on the command line; some are invalid, none is unparseable
 _OPTION_KEY_VALUES = {
-    "initial": st.sampled_from(sorted(scenarios.INITIAL_STATES)),
+    "initial": st.sampled_from([*sorted(scenarios.INITIAL_STATES), "custom"]),
     "x": st.one_of(st.floats(-2.0, 20.0), st.sampled_from([1e-5, 1e5])),
     "mu_dot_r": st.floats(-1.5, 1.5),
     "delta": st.one_of(st.floats(-20.0, 20.0), st.sampled_from([3.7e18, 1e200])),

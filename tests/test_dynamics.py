@@ -301,8 +301,7 @@ class TestDecayStructure:
         assert {abs(b.r12) for b in states} == {0.2}
         runs, reports = [], []
         for b in states:
-            s = Scenario(initial="custom", custom_state=b, gamma12=0.95, omega12=4.65,
-                         delta=delta, grid=grid)
+            s = Scenario(initial=b, gamma12=0.95, omega12=4.65, delta=delta, grid=grid)
             runs.append(run_scenario(s))
             m = evolve_full_master(block_to_matrix(b), s.params(), grid)
             reports.append(block_report(BlockState(

@@ -57,15 +57,15 @@ SCALAR_RECORDS = [
     ),
     (
         Scenario(),
-        "Scenario(initial='atom1_excited', custom_state=None, x=0.5235987755982988, "
+        "Scenario(initial='atom1_excited', x=0.5235987755982988, "
         "mu_dot_r=0.0, gamma=1.0, gamma12=None, omega12=None, delta=0.0, "
         "grid=TimeGrid(t_start=0.0, t_end=3.0, n_points=3000), "
         "outputs=('concurrence', 'negativity', 'populations', 'coherences', 's_squared'))",
     ),
     (
-        Scenario(initial="custom", custom_state=BlockState(r11=1.0), delta=1.5, gamma12=0.5,
-                 omega12=2.0, grid=TimeGrid(0.0, 4.0, 50), outputs=("concurrence",)),
-        "Scenario(initial='custom', custom_state=BlockState(r11=1.0, r22=0.0, r33=0.0, "
+        Scenario(initial=BlockState(r11=1.0), delta=1.5, gamma12=0.5, omega12=2.0,
+                 grid=TimeGrid(0.0, 4.0, 50), outputs=("concurrence",)),
+        "Scenario(initial=BlockState(r11=1.0, r22=0.0, r33=0.0, "
         "r44=0.0, r12=0j, r34=0j), x=0.5235987755982988, mu_dot_r=0.0, gamma=1.0, "
         "gamma12=0.5, omega12=2.0, delta=1.5, grid=TimeGrid(t_start=0.0, t_end=4.0, "
         "n_points=50), outputs=('concurrence',))",

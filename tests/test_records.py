@@ -64,10 +64,9 @@ def _assert_same_bits(t, ys) -> Trajectory:
     return traj
 
 
-def _scenario(initial, custom, gamma12, omega12, delta, t_start, span, n) -> Scenario:
+def _scenario(initial, gamma12, omega12, delta, t_start, span, n) -> Scenario:
     return Scenario(
         initial=initial,
-        custom_state=custom,
         gamma12=gamma12,
         omega12=omega12,
         delta=delta,
@@ -92,7 +91,7 @@ class TestSameBitsAsTheOracles:
     @pytest.mark.parametrize("gamma12", [1.0, -1.0])
     @pytest.mark.parametrize("initial", [*scenarios.INITIAL_STATES])
     def test_dicke_points(self, initial, gamma12):
-        s = _scenario(initial, None, gamma12, 0.0, 0.0, 0.0, 8.0, 801)
+        s = _scenario(initial, gamma12, 0.0, 0.0, 0.0, 8.0, 801)
         _assert_scenario_same_bits(s)
 
     def test_figures(self):
@@ -103,10 +102,9 @@ class TestSameBitsAsTheOracles:
         pops, r12, r34 = random_block_states(rng, 60)
         for k in range(60):
             custom = BlockState(*pops[k], r12=complex(r12[k]), r34=complex(r34[k]))
-            initial = "custom" if k % 2 else [*scenarios.INITIAL_STATES][k // 2 % 4]
+            initial = custom if k % 2 else [*scenarios.INITIAL_STATES][k // 2 % 4]
             s = _scenario(
                 initial,
-                custom,
                 float(rng.uniform(-1.0, 1.0)),
                 float(rng.normal(0.0, 5.0)),
                 float(rng.normal(0.0, 10.0)) if k % 3 else 0.0,  # detuned atoms
@@ -118,8 +116,7 @@ class TestSameBitsAsTheOracles:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        initial=st.sampled_from([*scenarios.INITIAL_STATES, "custom"]),
-        custom=block_states(),
+        initial=st.one_of(st.sampled_from([*scenarios.INITIAL_STATES]), block_states()),
         gamma12=st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)),
         omega12=st.floats(-10.0, 10.0),
         delta=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
@@ -127,8 +124,8 @@ class TestSameBitsAsTheOracles:
         span=st.floats(0.01, 20.0),
         n=st.integers(2, 300),
     )
-    def test_generated_scenarios(self, initial, custom, gamma12, omega12, delta, t_start, span, n):
-        s = _scenario(initial, custom, gamma12, omega12, delta, t_start, span, n)
+    def test_generated_scenarios(self, initial, gamma12, omega12, delta, t_start, span, n):
+        s = _scenario(initial, gamma12, omega12, delta, t_start, span, n)
         _assert_scenario_same_bits(s)
 
 
@@ -248,8 +245,7 @@ _MANY = [
         (Scenario(grid=TimeGrid(0.0, 6.0, 3000)), "delta", _MANY),
         # an invalid initial state is every row's error, ahead of the value's
         (
-            Scenario(initial="custom", custom_state=BlockState(r11=1.5, r22=-0.5),
-                     grid=TimeGrid(0.0, 4.0, 50)),
+            Scenario(initial=BlockState(r11=1.5, r22=-0.5), grid=TimeGrid(0.0, 4.0, 50)),
             "gamma12",
             [0.5, 1.5, -0.2],
         ),
