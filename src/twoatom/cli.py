@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import sys
 
-from .couplings import Geometry, GeometryError, rates_from_geometry
-from .dynamics import DickeSingularityError, InvariantError
+from .couplings import Geometry, rates_from_geometry
+from .dynamics import InvariantError
 from .scenarios import (
     FIGURE_SCENARIOS,
     SCENARIO_KEYS,
@@ -151,8 +151,7 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
 
 
 def _cmd_couplings(args) -> int:
-    rates = rates_from_geometry(Geometry(args["x"], args["mu_dot_r"]), args["gamma"])
-    print(f"gamma = {rates.gamma:.12g}")
+    rates = rates_from_geometry(Geometry(args["x"], args["mu_dot_r"]))
     print(f"gamma12 = {rates.gamma12:.12g}")
     print(f"omega12 = {rates.omega12:.12g}")
     return EXIT_OK
@@ -193,7 +192,6 @@ COMMANDS = {
         "--x": _option("separation k0*r12", finite_float, required=True),
         "--mu-dot-r": _option("cosine of the dipole-axis angle (default 0)", finite_float,
                               default=0.0),
-        "--gamma": _option("single-atom decay rate (default 1)", finite_float, default=1.0),
     }),
     "run": (_cmd_run, "run a scenario and write a trajectory CSV", {
         "--scenario": _option("scenario file (key = value format)"),
@@ -230,10 +228,10 @@ def main(argv=None) -> int:
             keys = {k: v for k, v in args.items() if k in SCENARIO_KEYS and v is not None}
             args["scenario"] = with_keys(s, **keys)
         return COMMANDS[command][0](args)
-    except (GeometryError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DickeSingularityError, InvariantError) as exc:
+    except InvariantError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -61,9 +61,8 @@ class Geometry(_Geometry):
 
 
 class CouplingRates(NamedTuple):
-    """Single-atom rate together with the two collective parameters."""
+    """The two collective parameters, in units of the single-atom decay rate."""
 
-    gamma: float
     gamma12: float
     omega12: float
 
@@ -107,12 +106,6 @@ def dipole_dipole_shift(g: Geometry) -> float:
     return 0.75 * (-(1.0 - m2) * math.cos(x) / x + (1.0 - 3.0 * m2) * near)
 
 
-def rates_from_geometry(g: Geometry, gamma: float = 1.0) -> CouplingRates:
-    """Bundle gamma with the geometry-determined collective rates."""
-    if not gamma > 0.0:
-        raise GeometryError(f"gamma must be > 0, got {gamma}")
-    return CouplingRates(
-        gamma=gamma,
-        gamma12=gamma * collective_damping(g),
-        omega12=gamma * dipole_dipole_shift(g),
-    )
+def rates_from_geometry(g: Geometry) -> CouplingRates:
+    """The collective rates of the geometry, in units of the single-atom decay rate."""
+    return CouplingRates(gamma12=collective_damping(g), omega12=dipole_dipole_shift(g))

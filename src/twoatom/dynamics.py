@@ -57,36 +57,26 @@ def _require_finite(owner: str, **values: float) -> None:
 
 
 class _AtomPairParams(NamedTuple):
-    gamma: float = 1.0
     gamma12: float = 0.0
     omega12: float = 0.0
     delta: float = 0.0  # half the transition-frequency difference
 
 
 class AtomPairParams(_AtomPairParams):
-    """Rates and frequencies of the pair; all in units of gamma (time 1/gamma),
-    in the frame rotating at the mean transition frequency.
+    """Rates and frequencies of the pair, in units of the single-atom decay
+    rate gamma (time in units of 1/gamma), in the frame rotating at the mean
+    transition frequency.
 
     Checked on construction and by ``_replace``.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        gamma: float = 1.0,
-        gamma12: float = 0.0,
-        omega12: float = 0.0,
-        delta: float = 0.0,
-    ):
-        _require_finite(
-            "AtomPairParams", gamma=gamma, gamma12=gamma12, omega12=omega12, delta=delta
-        )
-        if not gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {gamma}")
-        if abs(gamma12) > gamma * (1.0 + 1e-12):
+    def __new__(cls, gamma12: float = 0.0, omega12: float = 0.0, delta: float = 0.0):
+        _require_finite("AtomPairParams", gamma12=gamma12, omega12=omega12, delta=delta)
+        if abs(gamma12) > 1.0 + 1e-12:
             raise ValueError(f"|gamma12| must not exceed gamma, got {gamma12}")
-        return super().__new__(cls, gamma, gamma12, omega12, delta)
+        return super().__new__(cls, gamma12, omega12, delta)
 
     @classmethod
     def _make(cls, iterable):
@@ -144,24 +134,24 @@ def evolve_analytic(c0: CollectiveState, p: AtomPairParams, t: float) -> Collect
     """
     if p.delta != 0.0:
         raise ValueError("analytic solution requires delta == 0")
-    g, g12, o12 = p.gamma, p.gamma12, p.omega12
-    if c0.ree > 0.0 and min(abs(g - g12), abs(g + g12)) < EPS_DICKE:
+    g12, o12 = p.gamma12, p.omega12
+    if c0.ree > 0.0 and min(abs(1.0 - g12), abs(1.0 + g12)) < EPS_DICKE:
         raise DickeSingularityError(
             "gamma12 == +/-gamma with excited population: use evolve_block_ode"
         )
 
-    e_fast = math.exp(-(g + g12) * t)  # superradiant
-    e_slow = math.exp(-(g - g12) * t)  # subradiant
-    e_top = math.exp(-2.0 * g * t)
+    e_fast = math.exp(-(1.0 + g12) * t)  # superradiant
+    e_slow = math.exp(-(1.0 - g12) * t)  # subradiant
+    e_top = math.exp(-2.0 * t)
 
     ree = c0.ree * e_top
     rss = c0.rss * e_fast
     raa = c0.raa * e_slow
     if c0.ree != 0.0:
-        rss += c0.ree * (g + g12) / (g - g12) * (e_fast - e_top)
-        raa += c0.ree * (g - g12) / (g + g12) * (e_slow - e_top)
-    ras = c0.ras * np.exp(-(g + 2j * o12) * t)
-    reg = c0.reg * math.exp(-g * t)
+        rss += c0.ree * (1.0 + g12) / (1.0 - g12) * (e_fast - e_top)
+        raa += c0.ree * (1.0 - g12) / (1.0 + g12) * (e_slow - e_top)
+    ras = c0.ras * np.exp(-(1.0 + 2j * o12) * t)
+    reg = c0.reg * math.exp(-t)
     rgg = 1.0 - ree - rss - raa
     return CollectiveState(rgg=rgg, ree=ree, rss=rss, raa=raa, reg=reg, ras=ras)
 
@@ -176,16 +166,16 @@ def generator(p: AtomPairParams) -> np.ndarray:
     reg obeys d reg/dt = -gamma reg, decoupled from the rest, and no output
     reads its phase, so y carries its modulus only.
     """
-    g, g12, o12, d = p.gamma, p.gamma12, p.omega12, p.delta
-    up, down = g + g12, g - g12  # superradiant and subradiant rates
+    g12, o12, d = p.gamma12, p.omega12, p.delta
+    up, down = 1.0 + g12, 1.0 - g12  # superradiant and subradiant rates
     return np.array(
         [
-            [-2.0 * g, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-2.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             [up, -up, 0.0, 0.0, -2.0 * d, 0.0],
             [down, 0.0, -down, 0.0, 2.0 * d, 0.0],
-            [0.0, 0.0, 0.0, -g, 2.0 * o12, 0.0],
-            [0.0, d, -d, -2.0 * o12, -g, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, -g],
+            [0.0, 0.0, 0.0, -1.0, 2.0 * o12, 0.0],
+            [0.0, d, -d, -2.0 * o12, -1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, -1.0],
         ]
     )
 
@@ -355,7 +345,7 @@ def lindblad_generator(p: AtomPairParams):
     # in the frame rotating at the mean frequency the atoms sit at -/+ delta
     h = p.delta * (sz2 - sz1) - p.omega12 * (s1p @ s2m + s2p @ s1m)
 
-    gmat = np.array([[p.gamma, p.gamma12], [p.gamma12, p.gamma]])
+    gmat = np.array([[1.0, p.gamma12], [p.gamma12, 1.0]])
     sp = [s1p, s2p]
     sm = [s1m, s2m]
 

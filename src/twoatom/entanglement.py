@@ -170,19 +170,19 @@ def closed_form_C2_single(p: AtomPairParams, t):
     """
     _check_identical(p)
     t = np.asarray(t, dtype=float)
-    g, g12, o12 = p.gamma, p.gamma12, p.omega12
-    fast = np.exp(-(g + g12) * t)
-    slow = np.exp(-(g - g12) * t)
-    return np.sqrt(0.25 * (fast - slow) ** 2 + np.exp(-2.0 * g * t) * np.sin(2.0 * o12 * t) ** 2)
+    g12, o12 = p.gamma12, p.omega12
+    fast = np.exp(-(1.0 + g12) * t)
+    slow = np.exp(-(1.0 - g12) * t)
+    return np.sqrt(0.25 * (fast - slow) ** 2 + np.exp(-2.0 * t) * np.sin(2.0 * o12 * t) ** 2)
 
 
 def closed_form_N2_single(p: AtomPairParams, t):
     """Negativity for the one-atom-excited start; always below the concurrence."""
     _check_identical(p)
     t = np.asarray(t, dtype=float)
-    g, g12 = p.gamma, p.gamma12
+    g12 = p.gamma12
     c2 = closed_form_C2_single(p, t)
-    rgg = 1.0 - 0.5 * (np.exp(-(g + g12) * t) + np.exp(-(g - g12) * t))
+    rgg = 1.0 - 0.5 * (np.exp(-(1.0 + g12) * t) + np.exp(-(1.0 - g12) * t))
     # here the doubly excited state stays empty, so the plus branch equals c2
     return np.sqrt(c2 * c2 + rgg * rgg) - rgg
 
@@ -190,14 +190,14 @@ def closed_form_N2_single(p: AtomPairParams, t):
 def closed_form_C2_double(p: AtomPairParams, t):
     """Concurrence candidate for the both-atoms-excited start (may be negative)."""
     _check_identical(p)
-    g, g12 = p.gamma, p.gamma12
-    if min(abs(g - g12), abs(g + g12)) < EPS_DICKE:
+    g12 = p.gamma12
+    if min(abs(1.0 - g12), abs(1.0 + g12)) < EPS_DICKE:
         raise DickeSingularityError(
             "gamma12 == +/-gamma: the both-excited closed form is singular"
         )
     t = np.asarray(t, dtype=float)
-    top = np.exp(-2.0 * g * t)
-    fast = (g + g12) / (g - g12) * (np.exp(-(g + g12) * t) - top)
-    slow = (g - g12) / (g + g12) * (np.exp(-(g - g12) * t) - top)
+    top = np.exp(-2.0 * t)
+    fast = (1.0 + g12) / (1.0 - g12) * (np.exp(-(1.0 + g12) * t) - top)
+    slow = (1.0 - g12) / (1.0 + g12) * (np.exp(-(1.0 - g12) * t) - top)
     rgg = np.clip(1.0 - (fast + slow + top), 0.0, None)
-    return np.abs(fast - slow) - 2.0 * np.exp(-g * t) * np.sqrt(rgg)
+    return np.abs(fast - slow) - 2.0 * np.exp(-t) * np.sqrt(rgg)

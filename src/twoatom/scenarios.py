@@ -58,7 +58,6 @@ class Scenario(NamedTuple):
     initial: str | BlockState = "atom1_excited"
     x: float = math.pi / 6
     mu_dot_r: float = 0.0
-    gamma: float = 1.0
     gamma12: float | None = None  # explicit overrides win over the geometry
     omega12: float | None = None
     delta: float = 0.0
@@ -80,12 +79,10 @@ class Scenario(NamedTuple):
         if self.gamma12 is not None and self.omega12 is not None:
             g12, o12 = self.gamma12, self.omega12
         else:
-            rates = rates_from_geometry(Geometry(self.x, self.mu_dot_r), self.gamma)
+            rates = rates_from_geometry(Geometry(self.x, self.mu_dot_r))
             g12 = self.gamma12 if self.gamma12 is not None else rates.gamma12
             o12 = self.omega12 if self.omega12 is not None else rates.omega12
-        return AtomPairParams(
-            gamma=self.gamma, gamma12=g12, omega12=o12, delta=self.delta
-        )
+        return AtomPairParams(gamma12=g12, omega12=o12, delta=self.delta)
 
 
 class Trajectory(NamedTuple):
@@ -208,21 +205,21 @@ def record_from_state(
     )
 
 
-# a huge or negative gamma, which AtomPairParams refuses, overflows here
-@np.errstate(over="ignore", invalid="ignore")
-def excitation_bounds(y0: np.ndarray, gamma: float, t: np.ndarray) -> tuple[np.ndarray, float]:
+# -2 t overflows at the largest finite t_end
+@np.errstate(over="ignore")
+def excitation_bounds(y0: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, float]:
     """Bounds on ree - rgg = n - 1 at the times t, each widened by TOL_PSD,
     for the trajectory from the state vector y0 at t = 0.
 
     The excitation number n = 2 ree + rss + raa = 1 + ree - rgg obeys
-    dn/dt = -gamma n - gamma12 (rss - raa), which lies in [-2 gamma n, 0]
-    for any rates and detuning while the populations are positive, so
-    n(0) exp(-2 gamma t) <= n(t) <= n(0).  The trace check cannot see a
+    dn/dt = -n - gamma12 (rss - raa), which lies in [-2 n, 0] for any
+    rates and detuning while the populations are positive, so
+    n(0) exp(-2 t) <= n(t) <= n(0).  The trace check cannot see a
     population lost to the ground state, since rgg completes the trace;
     these bounds can.
     """
     n0 = 2.0 * y0[0] + y0[1] + y0[2]
-    return n0 * np.exp(-2.0 * gamma * t) - (1.0 + TOL_PSD), n0 - 1.0 + TOL_PSD
+    return n0 * np.exp(-2.0 * t) - (1.0 + TOL_PSD), n0 - 1.0 + TOL_PSD
 
 
 def workspace(grid: TimeGrid) -> np.ndarray:
@@ -261,7 +258,7 @@ def run_scenario(s: Scenario) -> Trajectory:
     y0 = state_vector(to_collective(s.initial_block()))
     props = propagators(generator(s.params())[np.newaxis], s.grid)
     t = s.grid.times()
-    return _trajectory(y0, props, 0, t, excitation_bounds(y0, s.gamma, t), workspace(s.grid))
+    return _trajectory(y0, props, 0, t, excitation_bounds(y0, t), workspace(s.grid))
 
 
 def scenario_columns(s: Scenario) -> tuple[str, ...]:
@@ -323,12 +320,12 @@ def sweep(base: Scenario, axis: str, values) -> list[SweepRow]:
         return [SweepRow(v, math.nan, math.nan, math.nan, str(exc)) for v in values]
     t = base.grid.times()
     work = workspace(base.grid)
-    bounds = excitation_bounds(y0, base.gamma, t)
+    bounds = excitation_bounds(y0, t)
     # a grid that misses t = 5: C(5) ends a trajectory on a grid of its own
     grid5 = None if t[0] <= 5.0 <= t[-1] else TimeGrid(0.0, 5.0, 2)
     if grid5 is not None:
         t5, work5 = grid5.times(), workspace(grid5)
-        bounds5 = excitation_bounds(y0, base.gamma, t5)
+        bounds5 = excitation_bounds(y0, t5)
     rows = []
     for first in range(0, len(values), _SWEEP_STACK):
         chunk = values[first : first + _SWEEP_STACK]
@@ -494,8 +491,7 @@ SCENARIO_KEYS = {
     "outputs": _outputs,
     "points": lambda text, key: int(text),
     **dict.fromkeys(
-        ("x", "mu_dot_r", "gamma", "gamma12", "omega12", "delta", "t_start", "t_end",
-         *_ENTRY_KEYS),
+        ("x", "mu_dot_r", "gamma12", "omega12", "delta", "t_start", "t_end", *_ENTRY_KEYS),
         finite_float,
     ),
 }

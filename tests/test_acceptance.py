@@ -36,7 +36,7 @@ SEED = 987654321
 
 GEOM = Geometry(x=math.pi / 6, mu_dot_r=0.0)
 RATES = rates_from_geometry(GEOM)
-PARAMS = AtomPairParams(gamma=1.0, gamma12=RATES.gamma12, omega12=RATES.omega12)
+PARAMS = AtomPairParams(gamma12=RATES.gamma12, omega12=RATES.omega12)
 
 
 def _verdict(label: str, ok: bool, detail: str = "") -> None:
@@ -69,21 +69,6 @@ def _batched_negativity(mats: np.ndarray) -> np.ndarray:
             pt[:, r, c] = mats[:, index[(ap, b)], index[(a, bp)]]
     mu = np.linalg.eigvalsh(pt)
     return np.maximum(0.0, -2.0 * np.where(mu < 0.0, mu, 0.0).sum(axis=1))
-
-
-def _block_closed_forms(pops, r12, r34):
-    a12, a34 = np.abs(r12), np.abs(r34)
-    root_low = np.sqrt(np.clip(pops[:, 2] * pops[:, 3], 0.0, None))
-    root_up = np.sqrt(np.clip(pops[:, 0] * pops[:, 1], 0.0, None))
-    c1 = 2.0 * (a12 - root_low)
-    c2 = 2.0 * (a34 - root_up)
-    conc = np.maximum(0.0, np.maximum(c1, c2))
-    s1 = pops[:, 2] + pops[:, 3]
-    s2 = pops[:, 0] + pops[:, 1]
-    n1 = np.sqrt(np.clip(4.0 * (a12**2 - pops[:, 2] * pops[:, 3]) + s1**2, 0, None)) - s1
-    n2 = np.sqrt(np.clip(4.0 * (a34**2 - pops[:, 0] * pops[:, 1]) + s2**2, 0, None)) - s2
-    neg = np.maximum(0.0, np.maximum(n1, n2))
-    return conc, neg, c1, c2
 
 
 def _stack(pops, r12, r34) -> np.ndarray:
@@ -130,12 +115,12 @@ def test_ac03_first_maximum_nonidentical_atoms():
 
 
 def test_ac04_entangled_state_decay_law():
-    g, g12 = PARAMS.gamma, PARAMS.gamma12
+    g12 = PARAMS.gamma12
     times = np.linspace(0.0, 10.0, 1001)
     worst = 0.0
     for initial, rate in (
-        (BlockState(r33=0.5, r44=0.5, r34=-0.5), g - g12),
-        (BlockState(r33=0.5, r44=0.5, r34=0.5), g + g12),
+        (BlockState(r33=0.5, r44=0.5, r34=-0.5), 1.0 - g12),
+        (BlockState(r33=0.5, r44=0.5, r34=0.5), 1.0 + g12),
     ):
         c0 = to_collective(initial)
         for t in times:
@@ -151,9 +136,9 @@ def test_ac05_oracle_equivalence_suite():
     rng = np.random.default_rng(SEED)
     pops, r12, r34 = random_block_states(rng, 10_000)
     mats = _stack(pops, r12, r34)
-    conc, neg, _, _ = _block_closed_forms(pops, r12, r34)
-    dev_c = float(np.max(np.abs(conc - _batched_concurrence(mats))))
-    dev_n = float(np.max(np.abs(neg - _batched_negativity(mats))))
+    rep = block_report(BlockState(*pops.T, r12, r34))
+    dev_c = float(np.max(np.abs(rep.concurrence - _batched_concurrence(mats))))
+    dev_n = float(np.max(np.abs(rep.negativity - _batched_negativity(mats))))
 
     pure = random_pure_block_states(rng, 1000)
     dev_pure = 0.0
@@ -171,8 +156,9 @@ def test_ac05_oracle_equivalence_suite():
 def test_ac06_ordering_and_exclusivity():
     rng = np.random.default_rng(SEED + 1)
     pops, r12, r34 = random_block_states(rng, 10_000)
-    conc, neg, c1, c2 = _block_closed_forms(pops, r12, r34)
-    ok = bool(np.all(neg <= conc + 1e-12)) and not bool(np.any((c1 > 0) & (c2 > 0)))
+    rep = block_report(BlockState(*pops.T, r12, r34))
+    ok = bool(np.all(rep.negativity <= rep.concurrence + 1e-12))
+    ok = ok and not bool(np.any((rep.c1 > 0) & (rep.c2 > 0)))
 
     for name in ("fig2", "fig4", "fig5"):
         r = run_scenario(FIGURE_SCENARIOS[name])
@@ -280,7 +266,7 @@ def test_ac10_total_spin_law():
         c = to_collective(matrix_to_block(m))
         worst = max(worst, abs(total_spin_squared(c) - (2.0 - 2.0 * c.raa)))
 
-    dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
+    dicke = AtomPairParams(gamma12=1.0)
     s2 = total_spin_squared(collective(evolve_block_ode(CollectiveState(ree=1.0), dicke, grid)))
     constant = float(np.max(np.abs(s2 - 2.0)))
     _verdict(

@@ -18,7 +18,6 @@ import twoatom.scenarios as scenarios
 from twoatom.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from twoatom.dynamics import (
     STATE_ROWS,
-    DickeSingularityError,
     TimeGrid,
     evolve_analytic,
     evolve_full_master,
@@ -67,7 +66,7 @@ points = 3000
 
 # every command with the options and positional argument its help lists
 _COMMAND_OPTIONS = {
-    "couplings": ("--x", "--mu-dot-r", "--gamma"),
+    "couplings": ("--x", "--mu-dot-r"),
     "run": ("--scenario", "--out", "--x", "--mu-dot-r", "--delta", "--points", "--initial"),
     "sweep": ("--scenario", "--axis", "--values", "--out", "--points"),
     "figure": ("{fig2,fig3,fig4,fig5}", "--out", "--points"),
@@ -105,6 +104,7 @@ class TestScenarioParsing:
             "t_end = inf\n",
             "r44 = -inf\n",
             "initial = atom1_excited\nr44 = 1\n",
+            "gamma = 1\n",
         ],
     )
     def test_rejects_malformed(self, text):
@@ -404,7 +404,8 @@ class TestCommandLine:
         assert "omega12 = 4.65211096" in out
 
     def test_last_of_a_repeated_option_wins(self, capsys):
-        argv = ["couplings", "--x", "-1", "--x=0.5235987755982988", "--gamma", "2", "--gamma", "1"]
+        argv = ["couplings", "--x", "-1", "--x=0.5235987755982988", "--mu-dot-r", "1",
+                "--mu-dot-r", "0"]
         assert main(argv) == EXIT_OK
         assert "gamma12 = 0.945968734" in capsys.readouterr().out
 
@@ -559,7 +560,7 @@ class TestCommandLine:
         import twoatom.cli as cli
 
         def boom(s):
-            raise DickeSingularityError("forced")
+            raise twoatom.InvariantError("forced")
 
         monkeypatch.setattr(cli, "run_scenario", boom)
         code = main(["run", "--out", str(tmp_path / "x.csv")])
@@ -651,17 +652,6 @@ class TestCommandLine:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not out.exists()
 
-    def test_huge_gamma_sweep_writes_nothing_to_stderr(self, tmp_path):
-        # the excitation bounds overflow before AtomPairParams refuses the rates
-        scen = tmp_path / "s.txt"
-        scen.write_text("gamma = 1.7e308\npoints = 20\n")
-        out = tmp_path / "out.csv"
-        proc = _fresh_cli("sweep", "--scenario", str(scen), "--axis", "delta", "--values=0,1",
-                          "--out", str(out))
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert proc.stderr == ""
-        assert all(r.endswith('must be finite, got inf"') for r in out.read_text().splitlines()[1:])
-
     def test_huge_separation_in_a_fresh_process(self):
         proc = _fresh_cli("couplings", "--x", "1e308")
         assert proc.returncode == EXIT_OK, proc.stderr
@@ -749,6 +739,8 @@ class TestCommandLine:
             pytest.param(["run", "--points", "1.5", "--out", "OUT"], EXIT_VALIDATION, False,
                          id="non-integer points"),
             pytest.param(["couplings", "--x", "nan"], EXIT_VALIDATION, False, id="non-finite x"),
+            pytest.param(["couplings", "--x", "1", "--gamma", "1"], EXIT_VALIDATION, False,
+                         id="couplings --gamma"),
         ],
     )
     def test_usage_contract(self, tmp_path, monkeypatch, capsys, argv, code, fresh):
@@ -797,7 +789,6 @@ _SCENARIO_LINES = {
     "initial": st.sampled_from([*scenarios.INITIAL_STATES, "custom", "half_excited"]),
     "x": _NUMBERS,
     "mu_dot_r": st.one_of(st.floats(-1.2, 1.2), _NUMBERS),
-    "gamma": _NUMBERS,
     "gamma12": st.one_of(st.floats(-1.1, 1.1), _NUMBERS),
     "omega12": _NUMBERS,
     "delta": _NUMBERS,

@@ -117,19 +117,13 @@ class TestGeometryValidation:
 class TestRatesFromGeometry:
     def test_bundles_scaled_rates(self):
         g = Geometry(x=math.pi / 6, mu_dot_r=0.0)
-        rates = rates_from_geometry(g, gamma=1.0)
-        assert rates.gamma == 1.0
+        rates = rates_from_geometry(g)
+        assert rates == (collective_damping(g), dipole_dipole_shift(g))
         assert rates.gamma12 == pytest.approx(DAMPING_PI6, abs=1e-12)
         assert rates.omega12 == pytest.approx(SHIFT_PI6, abs=1e-12)
 
-    def test_linear_in_gamma(self):
-        g = Geometry(x=math.pi / 6, mu_dot_r=0.0)
-        r2 = rates_from_geometry(g, gamma=2.0)
-        assert r2.gamma12 == pytest.approx(2 * DAMPING_PI6, rel=1e-14)
-        assert r2.omega12 == pytest.approx(2 * SHIFT_PI6, rel=1e-14)
-
     def test_independent_atom_limit(self):
-        rates = rates_from_geometry(Geometry(x=200 * math.pi), gamma=1.0)
+        rates = rates_from_geometry(Geometry(x=200 * math.pi))
         assert abs(rates.gamma12) < 1e-2
         assert abs(rates.omega12) < 1e-2
 
@@ -142,17 +136,6 @@ class TestRatesFromGeometry:
         assert abs(rates.gamma12) <= 1.5 / x
         assert abs(rates.omega12) <= 0.75 / x
 
-    def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(GeometryError):
-            rates_from_geometry(Geometry(x=1.0), gamma=0.0)
-
-    @given(st.floats(0.01, 100.0), st.floats(-1.0, 1.0), st.floats(0.1, 10.0))
-    def test_scaling_property(self, x, m, c):
-        g = Geometry(x=x, mu_dot_r=m)
-        base = rates_from_geometry(g, gamma=1.0)
-        scaled = rates_from_geometry(g, gamma=c)
-        assert scaled.gamma12 == pytest.approx(c * base.gamma12, rel=1e-12, abs=1e-12)
-        assert scaled.omega12 == pytest.approx(c * base.omega12, rel=1e-12, abs=1e-12)
 
 
 def test_damping_bounded_by_gamma(rng):

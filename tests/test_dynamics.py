@@ -37,7 +37,7 @@ from twoatom.statespace import (
 
 from conftest import collective, state_at
 
-PARAMS = AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65)
+PARAMS = AtomPairParams(gamma12=0.95, omega12=4.65)
 
 ANTISYMMETRIC = CollectiveState(raa=1.0)
 SYMMETRIC = CollectiveState(rss=1.0)
@@ -73,15 +73,15 @@ class TestEvolveAnalytic:
         assert expected == pytest.approx(0.01565, abs=2e-5)
 
     def test_dicke_singularity_refused(self):
-        dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
+        dicke = AtomPairParams(gamma12=1.0)
         with pytest.raises(DickeSingularityError):
             evolve_analytic(BOTH_EXCITED, dicke, 1.0)
-        anti_dicke = AtomPairParams(gamma=1.0, gamma12=-1.0)
+        anti_dicke = AtomPairParams(gamma12=-1.0)
         with pytest.raises(DickeSingularityError):
             evolve_analytic(BOTH_EXCITED, anti_dicke, 1.0)
 
     def test_dicke_point_fine_without_double_excitation(self):
-        dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
+        dicke = AtomPairParams(gamma12=1.0)
         c = evolve_analytic(ANTISYMMETRIC, dicke, 2.0)
         assert c.raa == pytest.approx(1.0)  # fully subradiant
 
@@ -107,7 +107,7 @@ class TestExpm:
 
     def test_generator_matches_scipy_at_both_dicke_points(self):
         for g12 in (1.0, -1.0, 0.95):
-            a = generator(AtomPairParams(gamma=1.0, gamma12=g12, omega12=4.65, delta=3.0))
+            a = generator(AtomPairParams(gamma12=g12, omega12=4.65, delta=3.0))
             for t in (1e-3, 0.7, 40.0):
                 assert np.max(np.abs(expm(a * t) - scipy_expm(a * t))) < 1e-13
 
@@ -121,7 +121,7 @@ class TestExpm:
             for scale in (1e-3, 0.5, 3.0, 40.0, 1e4)
         ]
         for g12 in (1.0, -1.0):  # the generator at both Dicke points
-            a = generator(AtomPairParams(gamma=1.0, gamma12=g12, omega12=4.65, delta=3.0))
+            a = generator(AtomPairParams(gamma12=g12, omega12=4.65, delta=3.0))
             mats += [a * 1e-3, a * 40.0]
         stack = np.stack(mats)
         squarings = [_squarings(norm) for norm in np.abs(stack).sum(axis=1).max(axis=1)]
@@ -171,7 +171,7 @@ class TestEvolveBlockOde:
             assert np.max(np.abs(_components(cm) - _components(ref))) < 1e-8
 
     def test_detuning_transfers_population_in_antiphase(self):
-        p = AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65, delta=10.0)
+        p = AtomPairParams(gamma12=0.95, omega12=4.65, delta=10.0)
         grid = TimeGrid(0.0, 2.0, 2001)
         states = collective(evolve_block_ode(ATOM1_EXCITED, p, grid))
         rss, raa = states.rss, states.raa
@@ -183,14 +183,14 @@ class TestEvolveBlockOde:
         assert np.sum(np.diff(np.sign(np.diff(rss))) != 0) >= 4
 
     def test_dicke_point_supported(self):
-        dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
+        dicke = AtomPairParams(gamma12=1.0)
         grid = TimeGrid(0.0, 5.0, 101)
         states = collective(evolve_block_ode(BOTH_EXCITED, dicke, grid))
         # the antisymmetric state stays empty at the small-sample point
         assert np.max(np.abs(states.raa)) < 1e-9
 
     def test_anti_dicke_point_matches_master_equation(self):
-        anti = AtomPairParams(gamma=1.0, gamma12=-1.0)
+        anti = AtomPairParams(gamma12=-1.0)
         grid = TimeGrid(0.0, 5.0, 101)
         states = collective(evolve_block_ode(BOTH_EXCITED, anti, grid))
         mats = evolve_full_master(block_to_matrix(BlockState(r22=1.0)), anti, grid)
@@ -255,7 +255,7 @@ class TestEvolveFullMaster:
             assert np.max(np.abs(_components(cm) - _components(state_at(states, k)))) < 1e-7
 
     def test_matches_block_ode_with_detuning(self):
-        p = AtomPairParams(gamma=1.0, gamma12=0.9, omega12=2.0, delta=5.0)
+        p = AtomPairParams(gamma12=0.9, omega12=2.0, delta=5.0)
         m0 = block_to_matrix(BlockState(r44=1.0))
         grid = TimeGrid(0.0, 3.0, 61)
         mats = evolve_full_master(m0, p, grid)
@@ -331,7 +331,7 @@ class TestTotalSpinSquared:
         assert total_spin_squared(CollectiveState(raa=raa)) == expected
 
     def test_conserved_only_at_small_sample_point(self):
-        dicke = AtomPairParams(gamma=1.0, gamma12=1.0)
+        dicke = AtomPairParams(gamma12=1.0)
         grid = TimeGrid(0.0, 5.0, 101)
         s2 = total_spin_squared(collective(evolve_block_ode(BOTH_EXCITED, dicke, grid)))
         assert np.max(np.abs(s2 - 2.0)) < 1e-9
@@ -362,10 +362,8 @@ class TestTimeGridValidation:
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            AtomPairParams(gamma=0.0)
-        with pytest.raises(ValueError):
-            AtomPairParams(gamma=1.0, gamma12=1.5)
-        for name in ("gamma", "gamma12", "omega12", "delta"):
+            AtomPairParams(gamma12=1.5)
+        for name in ("gamma12", "omega12", "delta"):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError):
                     AtomPairParams(**{name: bad})

@@ -30,7 +30,7 @@ from twoatom.statespace import (
 
 from conftest import block_states, random_pure_block_states
 
-PARAMS = AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65)
+PARAMS = AtomPairParams(gamma12=0.95, omega12=4.65)
 
 SYMMETRIC_BELL = BlockState(r33=0.5, r44=0.5, r34=0.5)
 ANTISYMMETRIC_BELL = BlockState(r33=0.5, r44=0.5, r34=-0.5)
@@ -181,9 +181,7 @@ class TestSingleExcitationClosedForms:
         assert closed_form_N2_single(PARAMS, 0.0) == 0.0
 
     def test_first_maximum(self):
-        p = AtomPairParams(
-            gamma=1.0, gamma12=0.9459687343404735, omega12=4.652110961561577
-        )
+        p = AtomPairParams(gamma12=0.9459687343404735, omega12=4.652110961561577)
         t = np.linspace(0.0, 3.0, 30_000)
         c = closed_form_C2_single(p, t)
         assert float(c.max()) == pytest.approx(0.86, abs=0.01)
@@ -198,8 +196,8 @@ class TestSingleExcitationClosedForms:
         p = PARAMS
         t = math.pi / (4.0 * p.omega12)  # sin(2 omega12 t) = 1
         c = float(closed_form_C2_single(p, t))
-        a = math.exp(-(p.gamma + p.gamma12) * t)
-        b = math.exp(-(p.gamma - p.gamma12) * t)
+        a = math.exp(-(1.0 + p.gamma12) * t)
+        b = math.exp(-(1.0 - p.gamma12) * t)
         assert c == pytest.approx(0.5 * (a + b), abs=1e-14)
         state = evolve_analytic(to_collective(BlockState(r44=1.0)), p, t)
         assert c == pytest.approx(state.rss + state.raa, abs=1e-12)
@@ -244,7 +242,7 @@ class TestDoubleExcitationClosedForm:
 
     def test_dicke_point_refused(self):
         with pytest.raises(DickeSingularityError):
-            closed_form_C2_double(AtomPairParams(gamma=1.0, gamma12=1.0), 1.0)
+            closed_form_C2_double(AtomPairParams(gamma12=1.0), 1.0)
 
 
 class TestEntangledStateDecayLaw:

@@ -26,12 +26,12 @@ from twoatom.statespace import BellState4, BlockState, CollectiveState, Diagnost
 SCALAR_RECORDS = [
     (Geometry(math.pi / 6), "Geometry(x=0.5235987755982988, mu_dot_r=0.0)"),
     (
-        CouplingRates(1.0, 0.9459687343404735, 4.652110961561577),
-        "CouplingRates(gamma=1.0, gamma12=0.9459687343404735, omega12=4.652110961561577)",
+        CouplingRates(0.9459687343404735, 4.652110961561577),
+        "CouplingRates(gamma12=0.9459687343404735, omega12=4.652110961561577)",
     ),
     (
         AtomPairParams(gamma12=0.95, omega12=4.65, delta=-2.5),
-        "AtomPairParams(gamma=1.0, gamma12=0.95, omega12=4.65, delta=-2.5)",
+        "AtomPairParams(gamma12=0.95, omega12=4.65, delta=-2.5)",
     ),
     (TimeGrid(0.5, 6.0, 700), "TimeGrid(t_start=0.5, t_end=6.0, n_points=700)"),
     (
@@ -58,7 +58,7 @@ SCALAR_RECORDS = [
     (
         Scenario(),
         "Scenario(initial='atom1_excited', x=0.5235987755982988, "
-        "mu_dot_r=0.0, gamma=1.0, gamma12=None, omega12=None, delta=0.0, "
+        "mu_dot_r=0.0, gamma12=None, omega12=None, delta=0.0, "
         "grid=TimeGrid(t_start=0.0, t_end=3.0, n_points=3000), "
         "outputs=('concurrence', 'negativity', 'populations', 'coherences', 's_squared'))",
     ),
@@ -66,7 +66,7 @@ SCALAR_RECORDS = [
         Scenario(initial=BlockState(r11=1.0), delta=1.5, gamma12=0.5, omega12=2.0,
                  grid=TimeGrid(0.0, 4.0, 50), outputs=("concurrence",)),
         "Scenario(initial=BlockState(r11=1.0, r22=0.0, r33=0.0, "
-        "r44=0.0, r12=0j, r34=0j), x=0.5235987755982988, mu_dot_r=0.0, gamma=1.0, "
+        "r44=0.0, r12=0j, r34=0j), x=0.5235987755982988, mu_dot_r=0.0, "
         "gamma12=0.5, omega12=2.0, delta=1.5, grid=TimeGrid(t_start=0.0, t_end=4.0, "
         "n_points=50), outputs=('concurrence',))",
     ),
@@ -155,6 +155,12 @@ def test_equality_and_tuple_semantics():
     assert g == (1.0, 0.5)
     assert tuple(g) == (1.0, 0.5) and g[0] == 1.0 and len(g) == 2
     assert np.asarray(TimeGrid(0.0, 1.0, 3)).tolist() == [0.0, 1.0, 3.0]
+    # gamma is the unit of every rate, so no record holds it
+    assert AtomPairParams._fields == ("gamma12", "omega12", "delta")
+    assert CouplingRates._fields == ("gamma12", "omega12")
+    assert Scenario._fields == (
+        "initial", "x", "mu_dot_r", "gamma12", "omega12", "delta", "grid", "outputs"
+    )
 
 
 def test_scenario_default_grid():
@@ -171,7 +177,7 @@ def test_scenario_default_grid():
         (TimeGrid(0.0, 1.0, 10), {"t_start": math.nan}, "t_start must be finite"),
         (AtomPairParams(), {"gamma12": 1.5}, "|gamma12| must not exceed gamma"),
         (AtomPairParams(), {"delta": math.inf}, "delta must be finite"),
-        (AtomPairParams(), {"gamma": 0.0}, "gamma must be > 0"),
+        (AtomPairParams(), {"omega12": math.nan}, "omega12 must be finite"),
         (Geometry(1.0), {"x": -1.0}, "separation k0*r12 must be > 0"),
         (Geometry(1.0), {"mu_dot_r": 2.0}, "|mu_dot_r| must be <= 1"),
     ],
