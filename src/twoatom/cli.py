@@ -19,6 +19,7 @@ every process.
 An option of ``run`` or ``sweep`` named like a scenario-file key
 (``--mu-dot-r`` is ``mu_dot_r``) overrides that key of the scenario file
 through ``scenarios.with_keys``, the function that applies the file's keys.
+``sweep`` refuses, as a usage error, the option named like its axis.
 """
 from __future__ import annotations
 
@@ -145,6 +146,10 @@ def _parse_args(argv: list[str]) -> tuple[str, dict]:
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+    # a sweep sets its axis itself: an option named like it would be overwritten
+    axis = "--" + given["--axis"].replace("_", "-") if "--axis" in given else None
+    if axis in given:
+        _fail(command, f"argument {axis}: not allowed with argument --axis {given['--axis']}")
     return command, {
         _dest(name): given.get(name, default) for name, (_, _, _, default, _) in options.items()
     }
@@ -184,6 +189,11 @@ def _cmd_figure(args) -> int:
 
 
 _POINTS = _option("grid points over the scenario's time span", int)
+_X = _option("separation k0*r12", finite_float)
+_MU_DOT_R = _option("cosine of the dipole-axis angle", finite_float)
+_DELTA = _option("half the transition-frequency difference", finite_float)
+_INITIAL = _option("initial state, overriding the scenario file's: a preset name, "
+                   "or custom for the file's entries")
 
 # command -> (handler, help, {name: (convert, choices, required, default, help)});
 # a name without leading dashes is a positional argument
@@ -196,19 +206,22 @@ COMMANDS = {
     "run": (_cmd_run, "run a scenario and write a trajectory CSV", {
         "--scenario": _option("scenario file (key = value format)"),
         "--out": _option("output CSV path", required=True),
-        "--x": _option("separation k0*r12", finite_float),
-        "--mu-dot-r": _option("cosine of the dipole-axis angle", finite_float),
-        "--delta": _option("half the transition-frequency difference", finite_float),
+        "--x": _X,
+        "--mu-dot-r": _MU_DOT_R,
+        "--delta": _DELTA,
         "--points": _POINTS,
-        "--initial": _option("initial state, overriding the scenario file's: a preset name, "
-                             "or custom for the file's entries"),
+        "--initial": _INITIAL,
     }),
     "sweep": (_cmd_sweep, "summary table over one parameter axis", {
         "--scenario": _option("base scenario file"),
         "--axis": _option("swept parameter", choices=SWEEP_AXES, required=True),
         "--values": _option("comma-separated axis values", required=True),
         "--out": _option("output CSV path", required=True),
+        "--x": _X,
+        "--mu-dot-r": _MU_DOT_R,
+        "--delta": _DELTA,
         "--points": _POINTS,
+        "--initial": _INITIAL,
     }),
     "figure": (_cmd_figure, "emit the data for one of the canned figures", {
         "name": _option("canned figure", choices=tuple(FIGURE_SCENARIOS), required=True),

@@ -420,7 +420,7 @@ def figure_rows(name: str, points: int | None = None) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# scenario files and CSV output
+# CSV output
 
 
 def _csv_field(text: str) -> str:
@@ -430,39 +430,237 @@ def _csv_field(text: str) -> str:
     return text
 
 
-# rows formatted per write: a chunk stays below glibc's 128 KB mmap threshold
-_CSV_CHUNK = 256
+# cells formatted per write: every buffer of a chunk stays below glibc's
+# 128 KB mmap threshold, above which a fresh process page-faults it in
+_CSV_CHUNK = 2048
+# a table with fewer float cells formats them one by one, as "%.17g": a
+# vectorised chunk costs about a hundred numpy calls, whatever its size
+_CSV_VECTOR_CELLS = 128
+
+# Exact "%.17g" in numpy.  A float x with 10**E <= |x| < 10**(E + 1) and
+# -6 <= E <= 15 is written from its 17 significant digits, q = round(|x|
+# 10**(16 - E)).  10**(16 - E) is exact in binary64 (5**22 < 2**53), and
+# Dekker's error-free product (Numer. Math. 18, 224 (1971)) gives
+# |x| 10**(16 - E) = hi + lo exactly: hi is an even integer in [1e16, 1e17]
+# and |lo| <= 8, so q = hi + rint(lo) rounds half to even, as CPython's
+# correctly rounded "%.17g" does.
+#
+# A cell is 32 bytes, four little-endian words: the sign at byte 0; "0000"
+# and the 17 digits at bytes 3..23, into which the point is inserted by
+# moving the digits after it one byte up; an "e-05" or "e-06" suffix at
+# bytes 25..28; the separator at byte 31.  Every other byte is _PAD, which
+# no UTF-8 text contains, so that one ``bytes.translate`` per chunk drops
+# them all.
+
+_PAD = 0xFF
+
+
+def _smallest_float_from(e: int) -> float:
+    """The smallest float >= 10**e: x >= 10**e exactly when x >= it."""
+    if e >= 0:
+        return float(10**e)
+    f = 1 / 10**-e  # correctly rounded
+    num, den = f.as_integer_ratio()
+    return math.nextafter(f, math.inf) if num * 10**-e < den else f
+
+
+# 10**E rounded up, for E = -6 .. 16
+_DECADES = np.array([_smallest_float_from(e) for e in range(-6, 17)])
+# By the biased binary exponent of |x|: the decades below its binade, and the
+# one that may begin inside it.  E + 7 = _BELOW[e] + (|x| >= _NEXT[e]) where
+# 10**E <= |x| < 10**(E + 1); it is 0 below 1e-6, and 23 or 24 from 1e16 on
+# and for NaN.
+_BELOW = np.searchsorted(
+    _DECADES, np.concatenate(([0.0], np.ldexp(1.0, np.arange(-1022, 1024)), [np.inf])), "right"
+)
+_NEXT = np.append(_DECADES, np.inf)[_BELOW]
+
+
+def _split(x):
+    """Veltkamp's split of x into two halves of at most 26 significant bits."""
+    c = x * 134217729.0
+    high = c - (c - x)
+    return high, x - high
+
+
+# 10**(16 - E) by E + 7, and its halves
+_SCALE = np.array([float(10 ** (23 - i)) for i in range(24)])
+_SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
+
+# k < 10**4 as four ASCII digits, in the low and in the high half of a
+# little-endian word; the trailing zeros of those digits (4 for k = 0), and
+# that count + 4.  Each is built from the 100 values of k's two halves.
+_HALF = np.arange(100)
+_PAIR = 48 + _HALF // 10 | 48 + _HALF % 10 << 8
+_DIGITS = (_PAIR[:, np.newaxis] | _PAIR << 16).ravel().astype(np.uint64)
+_DIGITS_HIGH = _DIGITS << 32
+_PAIR_ZEROS = sum(_HALF % 10**j == 0 for j in (1, 2))
+_TRAILING_ZEROS = np.where(
+    _HALF != 0, _PAIR_ZEROS, 2 + _PAIR_ZEROS[:, np.newaxis]
+).ravel().astype(np.uint8)
+_TRAILING_ZEROS_4 = _TRAILING_ZEROS + 4
+# the point's byte by E + 7: 8 + E, or 8 for E < -4
+_POINT_BYTE = np.where(np.arange(24) < 3, 8, np.arange(24) + 1)
+
+
+def _layout(zeros: int) -> np.ndarray:
+    """The masks that lay out words 0-3 of a cell, by (E + 7) * zeros + the
+    trailing zeros of q, as (32,) byte rows.
+
+    With ``zeros`` = 1, by E + 7 alone: the bytes kept in place, which are
+    the sign and the integer part (a single "0" for E < 0).  With ``zeros`` =
+    17: the bytes taken from one byte down, which are the fraction up to its
+    last non-zero digit, then the bytes set: the point (a pad when no
+    fraction is left), the suffix and the padding.
+    """
+    at = np.arange(32)
+    e = np.repeat(np.arange(24), zeros)[:, np.newaxis] - 7
+    z = np.tile(np.arange(zeros), 24)[:, np.newaxis]
+    b = _POINT_BYTE[e + 7]
+    lead = np.minimum(b - 1, 7)
+    if zeros == 1:
+        return _columns(np.where((at == 0) | (at >= lead) & (at < b), _PAD, 0)[:, :24])
+    end = np.where(z <= 23 - b, 25 - z, b)
+    move = np.where((at > b) & (at < np.minimum(end, 24)), _PAD, 0)[:, :24]
+    text = (at == 0) | (at >= lead) & (at < end)
+    suffix = np.frombuffer(b"\xff" * 25 + b"e-05" + b"\xff" * 3, np.uint8) + (e == -6) * (at == 28)
+    put = np.where(text, np.where(at == b, ord("."), 0), np.where(e < -4, suffix, _PAD))
+    return np.concatenate([_columns(move), _columns(put)])
+
+
+def _columns(byte_rows) -> np.ndarray:
+    """Rows of bytes as columns of little-endian words."""
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view("<u8").T.copy()
+
+
+_KEEP = _layout(1)
+_LAYOUT = _layout(17)
+# word 0 without its first digit, and the sign's change to it
+_HEAD = int.from_bytes(b"\xff\xff\xff0000\0", "little")
+_MINUS = 0xFF ^ ord("-")
+
+
+def _float_cells(v: np.ndarray) -> np.ndarray:
+    """The floats v as "%.17g" text, one padded (32,) uint8 cell each; byte 31
+    of every cell is left for the separator.  Zero is written as "0" or "-0",
+    and every value outside [1e-6, 1e16) other than zero by "%.17g" itself."""
+    a = np.abs(v)
+    e = a.view(np.int64) >> 52
+    i = _BELOW[e] + (a >= _NEXT[e])  # E + 7
+    fast = (i > 0) & (i < len(_DECADES))
+    every = fast.all()
+    if not every:
+        # zeros take the digits of 0 with E = 0; the others are overwritten
+        a = np.where(fast, a, 0.0)
+        i = np.where(fast, i, 7)
+    hi = a * _SCALE[i]
+    ah, al = _split(a)
+    sh, sl = _SCALE_HIGH[i], _SCALE_LOW[i]
+    lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+    # q < 1e17: the float below each 10**(E + 1) lies more than 5e-18 of it
+    # below, so no 17 digits round up into the next decade
+    q = hi.astype(np.int64)
+    q += np.rint(lo).astype(np.int64)
+    # the first digit, then four groups of four
+    top = q // 10**8
+    low = q - top * 10**8
+    d0 = top // 10**8
+    g1 = top - d0 * 10**8
+    g2 = g1 - (g1 // 10**4) * 10**4
+    g1 //= 10**4
+    g3 = low // 10**4
+    g4 = low - g3 * 10**4
+    zeros = np.where(low != 0, np.where(g4 != 0, _TRAILING_ZEROS[g4], _TRAILING_ZEROS_4[g3]),
+                     np.where(g2 != 0, _TRAILING_ZEROS[g2], _TRAILING_ZEROS_4[g1]) + 8)
+    words = np.empty((3, len(v)), np.uint64)
+    words[0] = ((d0 + 48).view(np.uint64) << 56) | _HEAD
+    words[0] ^= (v.view(np.uint64) >> 63) * _MINUS
+    np.bitwise_or(_DIGITS[g1], _DIGITS_HIGH[g2], out=words[1])
+    np.bitwise_or(_DIGITS[g3], _DIGITS_HIGH[g4], out=words[2])
+    moved = words << 8
+    moved[1:] |= words[:2] >> 56
+    out = np.empty((len(v), 4), "<u8")
+    columns = out.T
+    masks = np.take(_LAYOUT, i * 17 + zeros, axis=1)
+    np.bitwise_or(words[2] >> 56, masks[6], out=columns[3])
+    words &= np.take(_KEEP, i, axis=1)
+    moved &= masks[:3]
+    words |= moved
+    np.bitwise_or(words, masks[3:6], out=columns[:3])
+    cells = out.view(np.uint8)
+    if not every:
+        rest = np.flatnonzero(~fast & (v != 0))
+        if len(rest):
+            text = ("%-31.17g," * len(rest)) % tuple(v[rest].tolist())
+            block = np.frombuffer(text.encode(), np.uint8).reshape(len(rest), 32)
+            cells[rest] = np.where(block == ord(" "), _PAD, block)
+    return cells
+
+
+def _text_cells(texts, sep: bytes) -> np.ndarray:
+    """CSV fields of the texts, each padded to the longest, with the separator."""
+    fields = [_csv_field(t).encode() for t in texts]
+    width = max(map(len, fields), default=0)
+    block = b"".join(f.ljust(width, b"\xff") + sep for f in fields)
+    return np.frombuffer(block, np.uint8).reshape(len(fields), width + 1)
+
+
+def _vector_rows(columns, start: int, stop: int) -> bytes:
+    """Rows start..stop-1 of the table, its floats formatted by ``_float_cells``."""
+    floats = [c[start:stop] for c in columns if isinstance(c, np.ndarray)]
+    cells = _float_cells(np.stack(floats, axis=1, dtype=float).ravel())
+    cells = cells.reshape(stop - start, len(floats), 32)
+    parts, k = [], 0
+    for j, column in enumerate(columns):
+        sep = b"\n" if j == len(columns) - 1 else b","
+        if isinstance(column, np.ndarray):
+            part, k = cells[:, k], k + 1
+            part[:, 31] = sep[0]
+        else:
+            part = _text_cells(column[start:stop], sep)
+        parts.append(part)
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\xff")
+
+
+def _template_rows(columns, start: int, stop: int) -> bytes:
+    """Rows start..stop-1 of the table, each float formatted by "%.17g"."""
+    # one template per row, repeated over the rows, formats them in one operation
+    row = ",".join("%.17g" if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    width = len(columns)
+    # one flat list in row order: column j fills every width-th cell from j
+    cells = [None] * ((stop - start) * width)
+    for j, column in enumerate(columns):
+        part = column[start:stop]
+        cells[j::width] = (
+            part.tolist() if isinstance(column, np.ndarray) else list(map(_csv_field, part))
+        )
+    return ((row * (stop - start)) % tuple(cells)).encode()
 
 
 def write_csv(path, table) -> None:
     """Deterministic CSV of named columns.
 
     ``table`` maps each header to its column: a float array, written to 17
-    significant digits, or a list of str, quoted only where it must be.
-    Fixed header order, LF line endings.
+    significant digits exactly as ``format(v, ".17g")``, or a list of str,
+    quoted only where it must be.  Fixed header order, LF line endings.
+    A table of at least _CSV_VECTOR_CELLS float cells formats them in numpy
+    (``_float_cells``), a smaller one by "%.17g" itself; the bytes are the same.
     """
     columns = list(table.values())
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError("CSV columns differ in length")
-    # "%.17g" formats a float exactly as format(v, ".17g"); one template per
-    # row, repeated over a chunk of rows, formats the chunk in one operation
-    row = ",".join(
-        "%.17g" if isinstance(column, np.ndarray) else "%s" for column in columns
-    ) + "\n"
-    width = len(columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(table) + "\n")
-        for start in range(0, n, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, n)
-            # one flat list in row order: column j fills every width-th cell from j
-            cells = [None] * ((stop - start) * width)
-            for j, column in enumerate(columns):
-                part = column[start:stop]
-                cells[j::width] = (
-                    part.tolist() if isinstance(column, np.ndarray) else list(map(_csv_field, part))
-                )
-            fh.write((row * (stop - start)) % tuple(cells))
+    floats = sum(isinstance(column, np.ndarray) for column in columns)
+    rows = _vector_rows if floats * n >= _CSV_VECTOR_CELLS else _template_rows
+    step = max(1, _CSV_CHUNK // max(1, len(columns)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(table) + "\n").encode())
+        for start in range(0, n, step):
+            fh.write(rows(columns, start, min(start + step, n)))
+
+
+# ---------------------------------------------------------------------------
+# scenario files
 
 
 def finite_float(text: str, name: str = "value") -> float:

@@ -68,7 +68,8 @@ points = 3000
 _COMMAND_OPTIONS = {
     "couplings": ("--x", "--mu-dot-r"),
     "run": ("--scenario", "--out", "--x", "--mu-dot-r", "--delta", "--points", "--initial"),
-    "sweep": ("--scenario", "--axis", "--values", "--out", "--points"),
+    "sweep": ("--scenario", "--axis", "--values", "--out", "--x", "--mu-dot-r", "--delta",
+              "--points", "--initial"),
     "figure": ("{fig2,fig3,fig4,fig5}", "--out", "--points"),
 }
 
@@ -354,8 +355,35 @@ class TestFigureData:
             figure_rows("fig9")
 
 
+def _bits_to_floats(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# every power of ten the vectorised route meets or passes, each with its
+# neighbours one ulp away; ties of the 17th digit; the values it leaves to
+# "%.17g": zeros, subnormals, NaN, infinities and the largest floats
+_POWERS = np.array([float(f"1e{e}") for e in range(-8, 19)])
+_EDGE_VALUES = np.concatenate([
+    _POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, np.inf),
+    [1000000000000000.25, 2.0**-25, 9999999999999999.5, 0.1, 1 / 3, 100.5, 123456.0],
+    [0.0, -0.0, 5e-324, 2.225073858507201e-308, 1e-310, math.nan, math.inf, -math.inf,
+     1.7976931348623157e308, -1.7976931348623157e308],
+])
+_EDGE_VALUES = np.concatenate([_EDGE_VALUES, -_EDGE_VALUES])
+
+
+def _csv_cells(path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+# the per-value route, and the vectorised one that long float tables take
+_ROUTES = pytest.mark.parametrize("vector_cells", [10**9, 0], ids=["per_value", "vectorised"])
+
+
 class TestWriteCsv:
-    def test_floats_at_17_significant_digits(self, tmp_path):
+    @_ROUTES
+    def test_floats_at_17_significant_digits(self, tmp_path, monkeypatch, vector_cells):
+        monkeypatch.setattr(scenarios, "_CSV_VECTOR_CELLS", vector_cells)
         v = np.array([0.1, -0.0, 1e-300, 5e-324, math.pi, -1e308, math.nan, 2.0, 1 / 3])
         w = v[::-1]
         out = tmp_path / "a.csv"
@@ -366,20 +394,29 @@ class TestWriteCsv:
         )
         assert out.read_bytes() == want.encode()
 
-    def test_text_is_quoted_only_when_it_must_be(self, tmp_path):
-        texts = ["", "plain", "a, b", 'say "x"', "two\nlines", "cr\r"]
+    @_ROUTES
+    def test_text_is_quoted_only_when_it_must_be(self, tmp_path, monkeypatch, vector_cells):
+        monkeypatch.setattr(scenarios, "_CSV_VECTOR_CELLS", vector_cells)
+        texts = ["", "plain", "a, b", 'say "x"', "two\nlines", "cr\r", "nul\0byte", "\0",
+                 "ünïcödé ✓ γ12", "crlf\r\n", '"', ",", "é,\"\r\n\0"]
         out = tmp_path / "b.csv"
-        write_csv(out, {"value": np.arange(6.0), "error": texts})
+        write_csv(out, {"value": np.arange(13.0), "error": texts})
         data = out.read_bytes()
         assert data.startswith(b"value,error\n0,\n1,plain\n2,\"a, b\"\n3,\"say \"\"x\"\"\"\n")
+        want = "value,error\n" + "".join(
+            f"{k},{scenarios._csv_field(t)}\n" for k, t in enumerate(texts)
+        )
+        assert data == want.encode("utf-8")
         with open(out, encoding="utf-8", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["value", "error"]
         assert [r[1] for r in rows] == texts
 
-    def test_chunked_template_matches_format_per_value(self, tmp_path, monkeypatch):
+    @_ROUTES
+    def test_chunked_template_matches_format_per_value(self, tmp_path, monkeypatch, vector_cells):
         # a chunk boundary inside the table, and one mixed float/text table
         monkeypatch.setattr(scenarios, "_CSV_CHUNK", 4)
+        monkeypatch.setattr(scenarios, "_CSV_VECTOR_CELLS", vector_cells)
         v = np.array([-0.0, 5e-324, math.nan, math.inf, -math.inf, 1 / 3, 0.1, -2.5e-310, 7.0])
         texts = ["", "a, b", "plain", 'q"', "", "x", "", "y", "z"]
         out = tmp_path / "mixed.csv"
@@ -389,6 +426,67 @@ class TestWriteCsv:
             for a, e, b in zip(v.tolist(), texts, (-v).tolist())
         )
         assert out.read_bytes() == want.encode()
+
+    def test_edge_values_in_a_long_table(self, tmp_path):
+        # with the module's own chunk and route sizes: the table takes the
+        # vectorised route and crosses chunk boundaries
+        v = np.tile(_EDGE_VALUES, 3000 // len(_EDGE_VALUES) + 1)[:3000]
+        table = {"v": v, "w": v[::-1].copy()}
+        assert 2 * len(v) > max(scenarios._CSV_CHUNK, scenarios._CSV_VECTOR_CELLS)
+        out = tmp_path / "edge.csv"
+        write_csv(out, table)
+        header, *rows = _csv_cells(out)
+        assert header == ["v", "w"]
+        assert rows == [[format(a, ".17g"), format(b, ".17g")]
+                        for a, b in zip(v.tolist(), table["w"].tolist())]
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.lists(
+        st.one_of(
+            st.integers(0, 2**64 - 1),
+            # patterns whose value lies in the vectorised route's range
+            st.integers(int(np.float64(1e-7).view(np.uint64)), int(np.float64(1e17).view(np.uint64))),
+        ),
+        min_size=1, max_size=300,
+    ), negate=st.booleans())
+    def test_raw_bit_patterns_in_a_long_table(self, bits, negate):
+        v = _bits_to_floats(bits)
+        if negate:
+            v = -v
+        # tiled to a table that takes the vectorised route over several chunks
+        v = np.tile(v, 200 // len(v) + 1)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios, "_CSV_CHUNK", 96)
+            out = Path(tmp) / "bits.csv"
+            write_csv(out, {"v": v, "w": v[::-1].copy()})
+            header, *rows = _csv_cells(out)
+        assert rows == [[format(a, ".17g"), format(b, ".17g")]
+                        for a, b in zip(v.tolist(), v[::-1].tolist())]
+
+    def test_writing_adds_no_module_and_no_warning(self):
+        # a fresh process with every warning an error: the writer loads
+        # nothing that `import twoatom.cli` did not, and log10(0) or a cast
+        # of inf raise no RuntimeWarning
+        code = (
+            "import os, sys, tempfile\n"
+            "out = os.path.join(tempfile.mkdtemp(), 'fig2.csv')\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "import twoatom.cli\n"
+            "before = set(sys.modules)\n"
+            "table = twoatom.cli.figure_rows('fig2')\n"
+            "table['t'][:4] = [0.0, -0.0, float('inf'), float('nan')]\n"
+            "twoatom.cli.write_csv(out, table)\n"
+            "print(sorted(set(sys.modules) - before), len(table['t']))\n"
+            "os.remove(out)\n"
+            "os.rmdir(os.path.dirname(out))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-W", "error", "-c", code],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == "[] 3000\n"
 
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
@@ -506,6 +604,43 @@ class TestCommandLine:
         lines = out.read_text().splitlines()
         assert lines[0] == "value,first_max_c,t_first_max,c_at_t5,error"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("key,value", [
+        ("x", "0.3"), ("mu_dot_r", "0.4"), ("delta", "2.5"), ("initial", "symmetric"),
+    ])
+    def test_sweep_options_override_the_file(self, tmp_path, capsys, key, value):
+        # each option writes the sweep of a file that sets its key
+        base, keyed = tmp_path / "base.txt", tmp_path / "keyed.txt"
+        base.write_text("t_end = 2\npoints = 200\n")
+        keyed.write_text(f"t_end = 2\npoints = 200\n{key} = {value}\n")
+        option = "--" + key.replace("_", "-")
+        results = []
+        for argv in (["--scenario", str(keyed)], ["--scenario", str(base), option, value]):
+            out = tmp_path / "sweep.csv"
+            code = main(["sweep", *argv, "--axis", "omega12", "--values", "0,2", "--out", str(out)])
+            results.append((code, capsys.readouterr(), out.read_bytes()))
+            out.unlink()
+        assert results[0] == results[1]
+        assert results[0][0] == EXIT_OK
+        # and the option changes the sweep
+        main(["sweep", "--scenario", str(base), "--axis", "omega12", "--values", "0,2",
+              "--out", str(tmp_path / "base.csv")])
+        assert (tmp_path / "base.csv").read_bytes() != results[0][2]
+
+    @pytest.mark.parametrize("axis", ["x", "mu_dot_r", "delta"])
+    def test_sweep_refuses_the_option_of_its_axis(self, tmp_path, monkeypatch, capsys, axis):
+        monkeypatch.chdir(tmp_path)
+        option = "--" + axis.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", axis, option, "0.5", "--values", "0,1", "--out", "out.csv"])
+        assert exc.value.code == EXIT_VALIDATION
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("usage: twoatom sweep")
+        assert stderr.endswith(
+            f"\ntwoatom: error: argument {option}: not allowed with argument --axis {axis}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_error_text_is_quoted(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -815,13 +950,12 @@ def _argvs(draw) -> tuple[list[str], list[str]]:
     -1e5 or -1,0 must pass too; and the same argv in the ``=`` form only."""
     command = draw(st.sampled_from(["run", "sweep"]))
     options = []
-    if command == "run":
-        for flag in ("--x", "--mu-dot-r", "--delta"):
-            if draw(st.booleans()):
-                options.append((flag, draw(_NUMBERS)))
+    for flag in ("--x", "--mu-dot-r", "--delta"):
         if draw(st.booleans()):
-            options.append(("--initial", draw(_SCENARIO_LINES["initial"])))
-    else:
+            options.append((flag, draw(_NUMBERS)))
+    if draw(st.booleans()):
+        options.append(("--initial", draw(_SCENARIO_LINES["initial"])))
+    if command == "sweep":
         values = draw(st.lists(_NUMBERS, min_size=1, max_size=3))
         options.append(("--axis", draw(st.sampled_from(scenarios.SWEEP_AXES))))
         options.append(("--values", ",".join(map(str, values))))
@@ -920,8 +1054,9 @@ class TestFuzz:
                 assert all(math.isfinite(float(v)) for v in fields.values()), row
 
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(keys=st.fixed_dictionaries({}, optional=_OPTION_KEY_VALUES))
-    def test_scenario_file_and_options_agree(self, keys):
+    @given(keys=st.fixed_dictionaries({}, optional=_OPTION_KEY_VALUES),
+           command=st.sampled_from([["run"], ["sweep", "--axis", "gamma12", "--values", "0,0.5"]]))
+    def test_scenario_file_and_options_agree(self, keys, command):
         # a key given in a file or as the option of its name runs the same
         texts = {key: str(value) for key, value in keys.items()}
         with tempfile.TemporaryDirectory() as tmp:
@@ -932,7 +1067,7 @@ class TestFuzz:
             for argv in (["--scenario", str(scen)], options):
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main(["run", *argv, "--out", str(out)])
+                    code = main([*command, *argv, "--out", str(out)])
                 csv_bytes = out.read_bytes() if out.exists() else None
                 out.unlink(missing_ok=True)
                 results.append((code, stdout.getvalue(), stderr.getvalue(), csv_bytes))
