@@ -503,38 +503,37 @@ _TRAILING_ZEROS_4 = _TRAILING_ZEROS + 4
 _POINT_BYTE = np.where(np.arange(24) < 3, 8, np.arange(24) + 1)
 
 
-def _layout(zeros: int) -> np.ndarray:
-    """The masks that lay out words 0-3 of a cell, by (E + 7) * zeros + the
-    trailing zeros of q, as (32,) byte rows.
-
-    With ``zeros`` = 1, by E + 7 alone: the bytes kept in place, which are
-    the sign and the integer part (a single "0" for E < 0).  With ``zeros`` =
-    17: the bytes taken from one byte down, which are the fraction up to its
-    last non-zero digit, then the bytes set: the point (a pad when no
-    fraction is left), the suffix and the padding.
-    """
-    at = np.arange(32)
-    e = np.repeat(np.arange(24), zeros)[:, np.newaxis] - 7
-    z = np.tile(np.arange(zeros), 24)[:, np.newaxis]
-    b = _POINT_BYTE[e + 7]
-    lead = np.minimum(b - 1, 7)
-    if zeros == 1:
-        return _columns(np.where((at == 0) | (at >= lead) & (at < b), _PAD, 0)[:, :24])
-    end = np.where(z <= 23 - b, 25 - z, b)
-    move = np.where((at > b) & (at < np.minimum(end, 24)), _PAD, 0)[:, :24]
-    text = (at == 0) | (at >= lead) & (at < end)
-    suffix = np.frombuffer(b"\xff" * 25 + b"e-05" + b"\xff" * 3, np.uint8) + (e == -6) * (at == 28)
-    put = np.where(text, np.where(at == b, ord("."), 0), np.where(e < -4, suffix, _PAD))
-    return np.concatenate([_columns(move), _columns(put)])
-
-
 def _columns(byte_rows) -> np.ndarray:
     """Rows of bytes as columns of little-endian words."""
     return np.ascontiguousarray(byte_rows, dtype=np.uint8).view("<u8").T.copy()
 
 
-_KEEP = _layout(1)
-_LAYOUT = _layout(17)
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """The masks that lay out a cell, as columns of words.
+
+    By E + 7, words 0-2 of the bytes kept in place: the sign, and the
+    integer part, a single "0" for E < 0.  By (E + 7) * 17 + the trailing
+    zeros of q: words 0-2 of the bytes taken from one byte down, which are
+    the fraction up to its last non-zero digit, then words 0-3 of the bytes
+    set: the point (a pad where no fraction is left), the suffix, the pads.
+    """
+    at = np.arange(32)
+    e = np.arange(-7, 17)[:, np.newaxis, np.newaxis]
+    b = _POINT_BYTE[e + 7]
+    lead = np.minimum(b - 1, 7)
+    zeros = np.arange(17)[:, np.newaxis]
+    end = np.where(zeros <= 23 - b, 25 - zeros, b)  # of the text before the suffix
+    keep = np.where((at == 0) | (at >= lead) & (at < b), _PAD, 0)[:, 0, :24]
+    move = np.where((at > b) & (at < np.minimum(end, 24)), _PAD, 0)[..., :24]
+    suffix = np.frombuffer(b"\xff" * 25 + b"e-05" + b"\xff" * 3, np.uint8) + (e == -6) * (at == 28)
+    text = (at == 0) | (at >= lead) & (at < end)
+    put = np.where(text, np.where(at == b, ord("."), 0), np.where(e < -4, suffix, _PAD))
+    return _columns(keep), np.concatenate(
+        [_columns(move.reshape(-1, 24)), _columns(put.reshape(-1, 32))]
+    )
+
+
+_KEEP, _MOVE_SET = _layouts()
 # word 0 without its first digit, and the sign's change to it
 _HEAD = int.from_bytes(b"\xff\xff\xff0000\0", "little")
 _MINUS = 0xFF ^ ord("-")
@@ -570,8 +569,12 @@ def _float_cells(v: np.ndarray) -> np.ndarray:
     g1 //= 10**4
     g3 = low // 10**4
     g4 = low - g3 * 10**4
-    zeros = np.where(low != 0, np.where(g4 != 0, _TRAILING_ZEROS[g4], _TRAILING_ZEROS_4[g3]),
-                     np.where(g2 != 0, _TRAILING_ZEROS[g2], _TRAILING_ZEROS_4[g1]) + 8)
+    # the trailing zeros of q; they run on past g4 only where g4 = 0000
+    zeros = _TRAILING_ZEROS[g4]
+    z = np.flatnonzero(g4 == 0)
+    if len(z):
+        zeros[z] = np.where(g3[z] != 0, _TRAILING_ZEROS_4[g3[z]], 8 + np.where(
+            g2[z] != 0, _TRAILING_ZEROS[g2[z]], _TRAILING_ZEROS_4[g1[z]]))
     words = np.empty((3, len(v)), np.uint64)
     words[0] = ((d0 + 48).view(np.uint64) << 56) | _HEAD
     words[0] ^= (v.view(np.uint64) >> 63) * _MINUS
@@ -581,7 +584,7 @@ def _float_cells(v: np.ndarray) -> np.ndarray:
     moved[1:] |= words[:2] >> 56
     out = np.empty((len(v), 4), "<u8")
     columns = out.T
-    masks = np.take(_LAYOUT, i * 17 + zeros, axis=1)
+    masks = np.take(_MOVE_SET, i * 17 + zeros, axis=1)
     np.bitwise_or(words[2] >> 56, masks[6], out=columns[3])
     words &= np.take(_KEEP, i, axis=1)
     moved &= masks[:3]
