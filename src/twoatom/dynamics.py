@@ -36,8 +36,9 @@ from .statespace import CollectiveState
 EPS_DICKE = 1e-8
 # Largest output grid.  A trajectory takes about 0.22 kB per point in memory
 # at its peak: 22 float rows (the state, the output columns and the record
-# temporaries) and the masks of the invariant checks; writing its CSV adds at
-# most a chunk of text.  Measured with tracemalloc on `run_scenario` and
+# temporaries) and the masks of the invariant checks, 21.9 MB at 100 000
+# points.  Writing its CSV adds the buffers of one chunk, 0.65 MB whatever
+# the number of points.  Measured with tracemalloc on `run_scenario` and
 # `write_csv` at 100 000 points.
 MAX_POINTS = 100_000
 
