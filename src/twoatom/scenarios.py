@@ -430,12 +430,13 @@ def _csv_field(text: str) -> str:
     return text
 
 
-# cells formatted per write: every buffer of a chunk stays below glibc's
+# cells formatted per write: each float buffer of a chunk stays below glibc's
 # 128 KB mmap threshold, above which a fresh process page-faults it in
 _CSV_CHUNK = 2048
 # a table with fewer float cells formats them one by one, as "%.17g": a
-# vectorised chunk costs about a hundred numpy calls, whatever its size
-_CSV_VECTOR_CELLS = 128
+# vectorised chunk costs about a hundred numpy calls, whatever its size, and
+# in a fresh process the two routes took the same time at about 1000 cells
+_CSV_VECTOR_CELLS = 1024
 
 # Exact "%.17g" in numpy.  A float x with 10**E <= |x| < 10**(E + 1) and
 # -6 <= E <= 15 is written from its 17 significant digits, q = round(|x|

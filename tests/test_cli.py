@@ -355,10 +355,6 @@ class TestFigureData:
             figure_rows("fig9")
 
 
-def _bits_to_floats(bits) -> np.ndarray:
-    return np.array(bits, dtype=np.uint64).view(np.float64)
-
-
 # every power of ten the vectorised route meets or passes, each with its
 # neighbours one ulp away; ties of the 17th digit; the values it leaves to
 # "%.17g": zeros, subnormals, NaN, infinities and the largest floats
@@ -377,55 +373,57 @@ def _csv_cells(path) -> list[list[str]]:
 
 
 # the per-value route, and the vectorised one that long float tables take
-_ROUTES = pytest.mark.parametrize("vector_cells", [10**9, 0], ids=["per_value", "vectorised"])
+_ROUTES = {"per_value": 10**9, "vectorised": 0}
 
 
 class TestWriteCsv:
-    @_ROUTES
-    def test_floats_at_17_significant_digits(self, tmp_path, monkeypatch, vector_cells):
-        monkeypatch.setattr(scenarios, "_CSV_VECTOR_CELLS", vector_cells)
+    def test_floats_at_17_significant_digits(self, tmp_path, monkeypatch):
         v = np.array([0.1, -0.0, 1e-300, 5e-324, math.pi, -1e308, math.nan, 2.0, 1 / 3])
         w = v[::-1]
-        out = tmp_path / "a.csv"
-        write_csv(out, {"v": v, "w": w})
         want = "v,w\n" + "".join(
             format(a, ".17g") + "," + format(b, ".17g") + "\n"
             for a, b in zip(v.tolist(), w.tolist())
         )
-        assert out.read_bytes() == want.encode()
+        for route, vector_cells in _ROUTES.items():
+            monkeypatch.setattr(scenarios, "_CSV_VECTOR_CELLS", vector_cells)
+            out = tmp_path / f"{route}.csv"
+            write_csv(out, {"v": v, "w": w})
+            assert out.read_bytes() == want.encode(), route
 
-    @_ROUTES
-    def test_text_is_quoted_only_when_it_must_be(self, tmp_path, monkeypatch, vector_cells):
-        monkeypatch.setattr(scenarios, "_CSV_VECTOR_CELLS", vector_cells)
+    def test_text_is_quoted_only_when_it_must_be(self, tmp_path, monkeypatch):
         texts = ["", "plain", "a, b", 'say "x"', "two\nlines", "cr\r", "nul\0byte", "\0",
                  "ünïcödé ✓ γ12", "crlf\r\n", '"', ",", "é,\"\r\n\0"]
-        out = tmp_path / "b.csv"
-        write_csv(out, {"value": np.arange(13.0), "error": texts})
-        data = out.read_bytes()
-        assert data.startswith(b"value,error\n0,\n1,plain\n2,\"a, b\"\n3,\"say \"\"x\"\"\"\n")
         want = "value,error\n" + "".join(
             f"{k},{scenarios._csv_field(t)}\n" for k, t in enumerate(texts)
         )
-        assert data == want.encode("utf-8")
-        with open(out, encoding="utf-8", newline="") as fh:
-            header, *rows = csv.reader(fh)
-        assert header == ["value", "error"]
-        assert [r[1] for r in rows] == texts
+        for route, vector_cells in _ROUTES.items():
+            monkeypatch.setattr(scenarios, "_CSV_VECTOR_CELLS", vector_cells)
+            out = tmp_path / f"{route}.csv"
+            write_csv(out, {"value": np.arange(13.0), "error": texts})
+            data = out.read_bytes()
+            assert data.startswith(b"value,error\n0,\n1,plain\n2,\"a, b\"\n3,\"say \"\"x\"\"\"\n")
+            assert data == want.encode("utf-8"), route
+            if sys.version_info < (3, 11):  # csv.reader refuses NUL before Python 3.11
+                continue
+            with open(out, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["value", "error"]
+            assert [r[1] for r in rows] == texts
 
-    @_ROUTES
-    def test_chunked_template_matches_format_per_value(self, tmp_path, monkeypatch, vector_cells):
+    def test_chunked_template_matches_format_per_value(self, tmp_path, monkeypatch):
         # a chunk boundary inside the table, and one mixed float/text table
         monkeypatch.setattr(scenarios, "_CSV_CHUNK", 4)
-        monkeypatch.setattr(scenarios, "_CSV_VECTOR_CELLS", vector_cells)
         v = np.array([-0.0, 5e-324, math.nan, math.inf, -math.inf, 1 / 3, 0.1, -2.5e-310, 7.0])
         texts = ["", "a, b", "plain", 'q"', "", "x", "", "y", "z"]
-        out = tmp_path / "mixed.csv"
-        write_csv(out, {"v": v, "error": texts, "w": -v})
         want = "v,error,w\n" + "".join(
             f"{format(a, '.17g')},{scenarios._csv_field(e)},{format(b, '.17g')}\n"
             for a, e, b in zip(v.tolist(), texts, (-v).tolist())
         )
-        assert out.read_bytes() == want.encode()
+        for route, vector_cells in _ROUTES.items():
+            monkeypatch.setattr(scenarios, "_CSV_VECTOR_CELLS", vector_cells)
+            out = tmp_path / f"{route}.csv"
+            write_csv(out, {"v": v, "error": texts, "w": -v})
+            assert out.read_bytes() == want.encode(), route
 
     def test_edge_values_in_a_long_table(self, tmp_path):
         # with the module's own chunk and route sizes: the table takes the
@@ -450,7 +448,7 @@ class TestWriteCsv:
         min_size=1, max_size=300,
     ), negate=st.booleans())
     def test_raw_bit_patterns_in_a_long_table(self, bits, negate):
-        v = _bits_to_floats(bits)
+        v = np.array(bits, dtype=np.uint64).view(np.float64)
         if negate:
             v = -v
         # tiled to a table that takes the vectorised route over several chunks
@@ -465,8 +463,8 @@ class TestWriteCsv:
 
     def test_writing_adds_no_module_and_no_warning(self):
         # a fresh process with every warning an error: the writer loads
-        # nothing that `import twoatom.cli` did not, and log10(0) or a cast
-        # of inf raise no RuntimeWarning
+        # nothing that `import twoatom.cli` did not, and its zero, infinite
+        # and NaN cells raise no RuntimeWarning
         code = (
             "import os, sys, tempfile\n"
             "out = os.path.join(tempfile.mkdtemp(), 'fig2.csv')\n"
