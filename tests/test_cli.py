@@ -451,10 +451,12 @@ class TestWriteCsv:
         v = np.array(bits, dtype=np.uint64).view(np.float64)
         if negate:
             v = -v
-        # tiled to a table that takes the vectorised route over several chunks
+        # tiled to at least 200 rows, written on the vectorised route in
+        # chunks of 48 rows
         v = np.tile(v, 200 // len(v) + 1)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(scenarios, "_CSV_CHUNK", 96)
+            mp.setattr(scenarios, "_CSV_VECTOR_CELLS", 0)
             out = Path(tmp) / "bits.csv"
             write_csv(out, {"v": v, "w": v[::-1].copy()})
             header, *rows = _csv_cells(out)
