@@ -6,6 +6,7 @@ flat ``key = value`` text format with ``#`` comments.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -454,6 +455,9 @@ _CSV_VECTOR_CELLS = 1024
 # them all.
 
 _PAD = 0xFF
+# word 0 without its first digit, and the sign's change to it
+_HEAD = int.from_bytes(b"\xff\xff\xff0000\0", "little")
+_MINUS = 0xFF ^ ord("-")
 
 
 def _smallest_float_from(e: int) -> float:
@@ -465,43 +469,11 @@ def _smallest_float_from(e: int) -> float:
     return math.nextafter(f, math.inf) if num * 10**-e < den else f
 
 
-# 10**E rounded up, for E = -6 .. 16
-_DECADES = np.array([_smallest_float_from(e) for e in range(-6, 17)])
-# By the biased binary exponent of |x|: the decades below its binade, and the
-# one that may begin inside it.  E + 7 = _BELOW[e] + (|x| >= _NEXT[e]) where
-# 10**E <= |x| < 10**(E + 1); it is 0 below 1e-6, and 23 or 24 from 1e16 on
-# and for NaN.
-_BELOW = np.searchsorted(
-    _DECADES, np.concatenate(([0.0], np.ldexp(1.0, np.arange(-1022, 1024)), [np.inf])), "right"
-)
-_NEXT = np.append(_DECADES, np.inf)[_BELOW]
-
-
 def _split(x):
     """Veltkamp's split of x into two halves of at most 26 significant bits."""
     c = x * 134217729.0
     high = c - (c - x)
     return high, x - high
-
-
-# 10**(16 - E) by E + 7, and its halves
-_SCALE = np.array([float(10 ** (23 - i)) for i in range(24)])
-_SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
-
-# k < 10**4 as four ASCII digits, in the low and in the high half of a
-# little-endian word; the trailing zeros of those digits (4 for k = 0), and
-# that count + 4.  Each is built from the 100 values of k's two halves.
-_HALF = np.arange(100)
-_PAIR = 48 + _HALF // 10 | 48 + _HALF % 10 << 8
-_DIGITS = (_PAIR[:, np.newaxis] | _PAIR << 16).ravel().astype(np.uint64)
-_DIGITS_HIGH = _DIGITS << 32
-_PAIR_ZEROS = sum(_HALF % 10**j == 0 for j in (1, 2))
-_TRAILING_ZEROS = np.where(
-    _HALF != 0, _PAIR_ZEROS, 2 + _PAIR_ZEROS[:, np.newaxis]
-).ravel().astype(np.uint8)
-_TRAILING_ZEROS_4 = _TRAILING_ZEROS + 4
-# the point's byte by E + 7: 8 + E, or 8 for E < -4
-_POINT_BYTE = np.where(np.arange(24) < 3, 8, np.arange(24) + 1)
 
 
 def _columns(byte_rows) -> np.ndarray:
@@ -520,7 +492,7 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     """
     at = np.arange(32)
     e = np.arange(-7, 17)[:, np.newaxis, np.newaxis]
-    b = _POINT_BYTE[e + 7]
+    b = np.where(e < -4, 8, e + 8)  # the point's byte
     lead = np.minimum(b - 1, 7)
     zeros = np.arange(17)[:, np.newaxis]
     end = np.where(zeros <= 23 - b, 25 - zeros, b)  # of the text before the suffix
@@ -534,28 +506,56 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-_KEEP, _MOVE_SET = _layouts()
-# word 0 without its first digit, and the sign's change to it
-_HEAD = int.from_bytes(b"\xff\xff\xff0000\0", "little")
-_MINUS = 0xFF ^ ord("-")
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The writer's tables, built on its first vectorised write, so that a
+    process that writes only short tables never pays for them:
+
+    - by the biased binary exponent of |x|, the decades below its binade and
+      the one that may begin inside it: E + 7 = below[e] + (|x| >= above[e])
+      where 10**E <= |x| < 10**(E + 1); it is 0 below 1e-6, and 23 or 24 from
+      1e16 on and for NaN;
+    - 10**(16 - E) by E + 7, and its halves;
+    - k < 10**4 as four ASCII digits, in the low and in the high half of a
+      little-endian word; the trailing zeros of those digits (4 for k = 0),
+      and that count + 4;
+    - the two masks of ``_layouts()``.
+    """
+    decades = np.array([_smallest_float_from(e) for e in range(-6, 17)])
+    below = np.searchsorted(
+        decades, np.concatenate(([0.0], np.ldexp(1.0, np.arange(-1022, 1024)), [np.inf])), "right"
+    )
+    scale = np.array([float(10 ** (23 - i)) for i in range(24)])
+    # the digits and trailing zeros are built from the 100 values of k's two halves
+    half = np.arange(100)
+    pair = 48 + half // 10 | 48 + half % 10 << 8
+    digits = (pair[:, np.newaxis] | pair << 16).ravel().astype(np.uint64)
+    pair_zeros = sum(half % 10**j == 0 for j in (1, 2))
+    zeros = np.where(half != 0, pair_zeros, 2 + pair_zeros[:, np.newaxis]).ravel().astype(np.uint8)
+    return (
+        below, np.append(decades, np.inf)[below], scale, *_split(scale),
+        digits, digits << 32, zeros, zeros + 4, *_layouts(),
+    )
 
 
 def _float_cells(v: np.ndarray) -> np.ndarray:
     """The floats v as "%.17g" text, one padded (32,) uint8 cell each; byte 31
     of every cell is left for the separator.  Zero is written as "0" or "-0",
     and every value outside [1e-6, 1e16) other than zero by "%.17g" itself."""
+    (below, above, scale, scale_high, scale_low, digits, digits_high,
+     zeros_of, zeros_of_4, keep, move_set) = _tables()
     a = np.abs(v)
     e = a.view(np.int64) >> 52
-    i = _BELOW[e] + (a >= _NEXT[e])  # E + 7
-    fast = (i > 0) & (i < len(_DECADES))
+    i = below[e] + (a >= above[e])  # E + 7
+    fast = (i > 0) & (i < 23)  # -6 <= E <= 15
     every = fast.all()
     if not every:
         # zeros take the digits of 0 with E = 0; the others are overwritten
         a = np.where(fast, a, 0.0)
         i = np.where(fast, i, 7)
-    hi = a * _SCALE[i]
+    hi = a * scale[i]
     ah, al = _split(a)
-    sh, sl = _SCALE_HIGH[i], _SCALE_LOW[i]
+    sh, sl = scale_high[i], scale_low[i]
     lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
     # q < 1e17: the float below each 10**(E + 1) lies more than 5e-18 of it
     # below, so no 17 digits round up into the next decade
@@ -571,23 +571,23 @@ def _float_cells(v: np.ndarray) -> np.ndarray:
     g3 = low // 10**4
     g4 = low - g3 * 10**4
     # the trailing zeros of q; they run on past g4 only where g4 = 0000
-    zeros = _TRAILING_ZEROS[g4]
+    zeros = zeros_of[g4]
     z = np.flatnonzero(g4 == 0)
     if len(z):
-        zeros[z] = np.where(g3[z] != 0, _TRAILING_ZEROS_4[g3[z]], 8 + np.where(
-            g2[z] != 0, _TRAILING_ZEROS[g2[z]], _TRAILING_ZEROS_4[g1[z]]))
+        zeros[z] = np.where(g3[z] != 0, zeros_of_4[g3[z]], 8 + np.where(
+            g2[z] != 0, zeros_of[g2[z]], zeros_of_4[g1[z]]))
     words = np.empty((3, len(v)), np.uint64)
     words[0] = ((d0 + 48).view(np.uint64) << 56) | _HEAD
     words[0] ^= (v.view(np.uint64) >> 63) * _MINUS
-    np.bitwise_or(_DIGITS[g1], _DIGITS_HIGH[g2], out=words[1])
-    np.bitwise_or(_DIGITS[g3], _DIGITS_HIGH[g4], out=words[2])
+    np.bitwise_or(digits[g1], digits_high[g2], out=words[1])
+    np.bitwise_or(digits[g3], digits_high[g4], out=words[2])
     moved = words << 8
     moved[1:] |= words[:2] >> 56
     out = np.empty((len(v), 4), "<u8")
     columns = out.T
-    masks = np.take(_MOVE_SET, i * 17 + zeros, axis=1)
+    masks = np.take(move_set, i * 17 + zeros, axis=1)
     np.bitwise_or(words[2] >> 56, masks[6], out=columns[3])
-    words &= np.take(_KEEP, i, axis=1)
+    words &= np.take(keep, i, axis=1)
     moved &= masks[:3]
     words |= moved
     np.bitwise_or(words, masks[3:6], out=columns[:3])
@@ -612,7 +612,7 @@ def _text_cells(texts, sep: bytes) -> np.ndarray:
 def _vector_rows(columns, start: int, stop: int) -> bytes:
     """Rows start..stop-1 of the table, its floats formatted by ``_float_cells``."""
     floats = [c[start:stop] for c in columns if isinstance(c, np.ndarray)]
-    cells = _float_cells(np.stack(floats, axis=1, dtype=float).ravel())
+    cells = _float_cells(np.stack([np.asarray(c, dtype=float) for c in floats], axis=1).ravel())
     cells = cells.reshape(stop - start, len(floats), 32)
     parts, k = [], 0
     for j, column in enumerate(columns):

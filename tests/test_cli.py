@@ -403,12 +403,18 @@ class TestWriteCsv:
             data = out.read_bytes()
             assert data.startswith(b"value,error\n0,\n1,plain\n2,\"a, b\"\n3,\"say \"\"x\"\"\"\n")
             assert data == want.encode("utf-8"), route
-            if sys.version_info < (3, 11):  # csv.reader refuses NUL before Python 3.11
-                continue
-            with open(out, encoding="utf-8", newline="") as fh:
-                header, *rows = csv.reader(fh)
+            text = data.decode("utf-8")
+            # csv.reader refuses NUL before Python 3.11: there it reads each
+            # NUL as \x01, which no text holds, and gives it back as NUL
+            old = sys.version_info < (3, 11)
+            if old:
+                assert "\x01" not in text
+                text = text.replace("\0", "\x01")
+            header, *rows = csv.reader(io.StringIO(text, newline=""))
+            if old:
+                rows = [[cell.replace("\x01", "\0") for cell in row] for row in rows]
             assert header == ["value", "error"]
-            assert [r[1] for r in rows] == texts
+            assert rows == [[str(k), t] for k, t in enumerate(texts)]
 
     def test_chunked_template_matches_format_per_value(self, tmp_path, monkeypatch):
         # a chunk boundary inside the table, and one mixed float/text table
